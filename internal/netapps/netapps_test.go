@@ -118,3 +118,28 @@ func TestBandwidthMetric(t *testing.T) {
 		t.Fatal("zero Result should have 0 bandwidth")
 	}
 }
+
+// TestScaleExactPins pins two cheap A6 cells' full ScaleResult: the
+// rendered A6 table rounds bandwidth, so an altered handoff order could
+// otherwise pass unseen. One cell elides through TSX at 16 cores, the other
+// runs 64 cores with per-connection locks (128 contexts).
+func TestScaleExactPins(t *testing.T) {
+	mods := map[string]ScaleModule{}
+	for _, m := range ScaleModules {
+		mods[m.Name] = m
+	}
+	for _, want := range []ScaleResult{
+		{Cores: 16, Clients: 10000, Module: "tsx",
+			Bytes: 2560000, ReadCycles: 981977, Cycles: 981977, Events: 300284},
+		{Cores: 64, Clients: 1000, Module: "fine-grained",
+			Bytes: 4096000, ReadCycles: 365994, Cycles: 365994, Events: 243350},
+	} {
+		got, err := RunScale(want.Cores, want.Clients, mods[want.Module])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("got %+v, want %+v", got, want)
+		}
+	}
+}

@@ -219,15 +219,16 @@ type Machine struct {
 	nSockets int
 	ctxs     []*Context
 	ctxSlab  []*Context // Context records recycled across Run calls (slab)
-	// runq holds the runnable (not running) contexts as compact value
-	// entries (the scheduling key snapshot plus the context pointer),
-	// arranged as an implicit 4-ary min-heap on the key: the minimum is
-	// always runq[0], so a handoff is one replace-root + sift-down —
-	// O(log₄ N) compares — instead of the O(N) argmin rescan the flat
-	// layout needed, which matters once regions run hundreds of contexts.
-	runq []runqEnt
-	// qtopKey mirrors runq[0].key (MaxUint64 when empty, so the batching
-	// fast path in maybeYield is one comparison with no emptiness branch).
+	// tour is the run queue: a min-tournament tree with one leaf per
+	// context id. With P = len(tour)/2 (the next power of two ≥ the
+	// region's thread count), leaf tour[P+id] holds the packed key of
+	// context id while it is runnable and not running, MaxUint64 otherwise;
+	// every internal node tour[i] holds min(tour[2i], tour[2i+1]), so the
+	// root tour[1] is the queue minimum. The id sits in the key's low bits,
+	// so the tree stores bare keys and maps the winner back through ctxs.
+	tour []uint64
+	// qtopKey mirrors tour[1] (MaxUint64 when empty, so the batching fast
+	// path in maybeYield is one comparison with no emptiness branch).
 	qtopKey uint64
 	nLive   int // contexts that have not finished their body
 	// htNum/htDen/htMagic cache the HyperThread co-residency factor for
@@ -503,8 +504,7 @@ func (m *Machine) attach(n int) {
 		panic(fmt.Sprintf("sim: %d threads exceed the packed scheduling key's %d-id capacity", n, 1<<keyIDBits))
 	}
 	m.ctxs = m.ctxSlab[:n]
-	m.runq = m.runq[:0]
-	m.qtopKey = ^uint64(0)
+	m.resetRunq(n)
 	m.htNum = uint64(m.Costs.HTFactorNum)
 	m.htDen = uint64(m.Costs.HTFactorDen)
 	if m.htDen > 1 {
@@ -671,7 +671,7 @@ func (m *Machine) finish(c *Context) {
 	c.state = ctxDone
 	c.Progress()
 	m.nLive--
-	if len(m.runq) > 0 {
+	if m.qtopKey != ^uint64(0) {
 		c.finishPark(m.popMin().parkedIn)
 		return
 	}
@@ -771,9 +771,9 @@ func (m *Machine) onDeadline(c *Context) {
 //
 // The fast path — the current context still holds the minimum — costs one
 // comparison against the cached queue minimum and no coroutine switch. The
-// handover path replaces the departing minimum (the heap root) with c in
-// place and sifts it down; the successor depends only on the (clock, id)
-// key set, so the schedule is unchanged.
+// handover path removes the minimum from the tournament tree and inserts c
+// (two leaf writes, each with one walk toward the root); the successor
+// depends only on the (clock, id) key set, so the schedule is unchanged.
 func (c *Context) maybeYield() {
 	m := c.m
 	if c.key < m.qtopKey {
@@ -783,10 +783,8 @@ func (c *Context) maybeYield() {
 		// context is due.
 		return
 	}
-	next := m.runq[0].ctx
-	m.runq[0] = runqEnt{key: c.key, ctx: c}
-	m.siftDown(0)
-	m.qtopKey = m.runq[0].key
+	next := m.popMin()
+	m.qpush(c)
 	c.parkOn(next.parkedIn)
 }
 
@@ -807,7 +805,7 @@ func (c *Context) Block() {
 		return
 	}
 	c.state = ctxBlocked
-	if len(m.runq) == 0 {
+	if m.qtopKey == ^uint64(0) {
 		m.deadlock(c)
 	}
 	c.parkOn(m.popMin().parkedIn)
@@ -866,7 +864,7 @@ func (c *Context) charge(cyc uint64) {
 	if pr := m.probes; pr != nil {
 		pr.cycles[c.id][pr.phase[c.id]] += cyc
 	}
-	if m.Cfg.Invariants && (c.clock < before || c.clock >= 1<<(64-keyIDBits)) {
+	if m.Cfg.Invariants && (c.clock < before || c.clock >= 1<<(64-keyIDBits)-1) {
 		panic(&InvariantError{Point: "clock", Thread: c.id, Clock: c.clock,
 			Detail: fmt.Sprintf("virtual clock wrapped or exceeded the packed-key range: %d + %d cycles", before, cyc)})
 	}
@@ -974,101 +972,69 @@ func (c *Context) TxAccess(a Addr, write bool) {
 	c.access(a, write, true)
 }
 
-// The runnable queue is an implicit 4-ary min-heap over contiguous 16-byte
-// entries. Packed keys are unique (unique thread ids), so the minimum is
-// unique and extraction depends only on the key set — any correct priority
-// structure yields the identical schedule, which is why swapping the flat
-// argmin rescan for the heap is byte-identical at every topology. The heap
-// wins once regions run dozens to hundreds of contexts: a handoff costs
-// O(log₄ N) sifting instead of an O(N) rescan, while the batching fast path
-// (one compare against the cached root key) is untouched. Arity 4 keeps the
-// tree shallow and lets one sift level's children share a host cache line.
-// The backing slice is recycled across regions, so the hot path never
-// allocates.
+// The run queue is a min-tournament tree indexed by context id. Packed keys
+// are unique (unique thread ids), so the minimum is unique and extraction
+// depends only on the key set — any exact min-structure yields the identical
+// schedule at every topology. Every operation is one leaf write plus one walk
+// toward the root over a flat []uint64: removing the minimum recomputes each
+// ancestor from its sibling (one load and a branchless min per level, no
+// child scan to mispredict), and an insert lowers ancestors until one
+// already holds a smaller key. The batching fast path (one compare against
+// the cached root key) is untouched, and the backing slice is recycled
+// across regions, so the hot path never allocates.
 
 // keyIDBits is the width of the thread-id field in the packed scheduling
 // key (key = clock<<keyIDBits | id). 10 bits bounds regions to 1024 threads
-// (a 64-core × 8-HT machine plus headroom) and virtual clocks to 2^54
-// cycles; attach and the Invariants clock check enforce the limits.
+// (a 64-core × 8-HT machine plus headroom) and virtual clocks to 2^54−1
+// cycles, so no real key reaches MaxUint64 — the run queue's sentinel for a
+// leaf with no runnable context and, in qtopKey, for an empty queue. attach
+// and the Invariants clock check enforce the limits.
 const keyIDBits = 10
 
-// heapArity is the run-queue heap's branching factor.
-const heapArity = 4
-
-// runqEnt is one runnable-queue entry: the context's packed scheduling key,
-// snapshotted at enqueue time, plus the context itself. A queued context's
-// key never changes (only the running context is charged, and Wake adjusts
-// the clock before enqueueing), so the snapshot cannot go stale.
-type runqEnt struct {
-	key uint64
-	ctx *Context
+// resetRunq empties the run queue and sizes its tree for n contexts.
+func (m *Machine) resetRunq(n int) {
+	size := 2 << bits.Len(uint(n-1))
+	if cap(m.tour) < size {
+		m.tour = make([]uint64, size)
+	}
+	m.tour = m.tour[:size]
+	for i := range m.tour {
+		m.tour[i] = ^uint64(0)
+	}
+	m.qtopKey = ^uint64(0)
 }
 
-// qpush appends c to the runnable queue and restores heap order, updating
-// the cached minimum.
+// qpush makes c runnable: its key enters its leaf and lowers every ancestor
+// that held a larger key, updating the cached minimum.
 func (m *Machine) qpush(c *Context) {
-	m.runq = append(m.runq, runqEnt{key: c.key, ctx: c})
-	m.siftUp(len(m.runq) - 1)
-	m.qtopKey = m.runq[0].key
+	t, k := m.tour, c.key
+	i := len(t)>>1 + c.id
+	t[i] = k
+	for i > 1 {
+		i >>= 1
+		if t[i] <= k {
+			return
+		}
+		t[i] = k
+	}
+	m.qtopKey = k
 }
 
-// popMin removes and returns the queue minimum (the heap root). The caller
-// must ensure the queue is nonempty.
+// popMin removes and returns the queue minimum. Every ancestor of the
+// winner's leaf held the winner's key, so each is recomputed from the
+// sibling subtrees along the path. The caller must ensure the queue is
+// nonempty.
 func (m *Machine) popMin() *Context {
-	q := m.runq
-	top := q[0].ctx
-	last := len(q) - 1
-	q[0] = q[last]
-	m.runq = q[:last]
-	if last > 0 {
-		m.siftDown(0)
-		m.qtopKey = m.runq[0].key
-	} else {
-		m.qtopKey = ^uint64(0)
+	t := m.tour
+	id := int(m.qtopKey & (1<<keyIDBits - 1))
+	i := len(t)>>1 + id
+	t[i] = ^uint64(0)
+	v := ^uint64(0)
+	for i > 1 {
+		v = min(v, t[i^1])
+		i >>= 1
+		t[i] = v
 	}
-	return top
-}
-
-// siftUp restores heap order after an append at index i.
-func (m *Machine) siftUp(i int) {
-	q := m.runq
-	ent := q[i]
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if q[p].key <= ent.key {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = ent
-}
-
-// siftDown restores heap order after the entry at index i was replaced.
-func (m *Machine) siftDown(i int) {
-	q := m.runq
-	n := len(q)
-	ent := q[i]
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		min, minKey := first, q[first].key
-		for j := first + 1; j < last; j++ {
-			if q[j].key < minKey {
-				min, minKey = j, q[j].key
-			}
-		}
-		if ent.key <= minKey {
-			break
-		}
-		q[i] = q[min]
-		i = min
-	}
-	q[i] = ent
+	m.qtopKey = v
+	return m.ctxs[id]
 }
