@@ -78,11 +78,10 @@ func ElideSet(rt *htm.Runtime, c *sim.Context, locks []*ssync.Mutex, maxRetries 
 		case htm.LockBusy:
 			// Bounded wait (see tm.System.elide): an unbounded spin can
 			// livelock against a steady stream of fallback lock hand-offs.
+			// Each lock's wait is a data continuation (sim.SpinWhileSet).
 			prev := c.SetPhase(sim.PhaseSpin)
 			for _, mu := range locks {
-				for spins := 0; c.Load(mu.Addr) != 0 && spins < 4*costs.MutexSpinTries; spins++ {
-					c.Compute(costs.MutexSpin)
-				}
+				c.SpinWhileSet(mu.Addr, costs.MutexSpin, 4*costs.MutexSpinTries)
 			}
 			c.SetPhase(prev)
 		case htm.Conflict:

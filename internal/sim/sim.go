@@ -17,8 +17,13 @@
 // run-queue locks never appear on the hot path. The Run caller's goroutine
 // drives only region start, teardown and drain. A context that strictly
 // holds the minimum clock batches consecutive events without leaving its
-// carrier at all (see Context.maybeYield). All timing is expressed in
-// virtual cycles; wall-clock time is never used for results.
+// carrier at all (see Context.maybeYield). A context whose next step is a
+// data continuation — the remainder of a long Compute, or an iteration of a
+// SpinCAS / SpinWhileSet spin-wait — needs no stack switch either: the
+// dispatch path runs that step inline on the current carrier and re-queues
+// the context, at the same (clock, id) point as the context itself would
+// (see cont.go). All timing is expressed in virtual cycles; wall-clock time
+// is never used for results.
 //
 // Higher layers build the machine model on top of the hooks exposed here:
 // package htm installs the transactional conflict/eviction/syscall hooks to
@@ -255,6 +260,16 @@ type Machine struct {
 	racer  int
 	events uint64 // total timed events, for throughput diagnostics
 
+	// switches counts real stack switches from one carrier to another, and
+	// inlineSteps the continuation steps the dispatch loop ran on the
+	// current carrier instead (cont.go). Both are cumulative since New; see
+	// SchedCounts.
+	switches    uint64
+	inlineSteps uint64
+	// stepping is set, under Config.Invariants only, while a continuation
+	// step runs; a scheduling point reached meanwhile panics (cont.go).
+	stepping bool
+
 	// probes is the observability state (counter set, virtual-time phase
 	// planes, trace ring), non-nil only when Config armed Metrics or
 	// TraceEvents; see probe.go.
@@ -384,9 +399,20 @@ type Context struct {
 	cache   *Cache // this core's L1 (m.caches[core], cached for the access path)
 	sibling *Context
 	state   ctxState
-	id      int
-	core    int
-	slot    int // hardware-thread slot within the core (0 or 1)
+	// cont is the context's data continuation (cont.go): contNone while the
+	// body's next step needs its own stack, otherwise the stage of the
+	// Compute remainder or spin-wait the scheduler may run inline. It shares
+	// the padding after state, so the dispatch path's proxyable test reads a
+	// line it already touches.
+	cont contStage
+	id   int
+	core int
+	slot int // hardware-thread slot within the core (0 or 1)
+	// left is the number of cycles of a multi-quantum Compute still to
+	// charge; spin holds the parameters and progress of a SpinCAS /
+	// SpinWhileSet (cont.go).
+	left uint64
+	spin spinState
 
 	// parkedIn is the coro this context's carrier goroutine is parked in
 	// while it is not running: whoever resumes the carrier switches on this
@@ -438,7 +464,11 @@ type Result struct {
 	Cycles uint64
 	// PerThread holds each thread's finishing clock.
 	PerThread []uint64
-	// Events is the total number of timed simulator events processed.
+	// Events is the number of timed simulator events the machine has
+	// processed since New, not since this Run began: the count accumulates
+	// across Run calls, so a reused machine's second Run reports the sum of
+	// both regions. Subtract the previous Result's Events for a per-Run
+	// figure.
 	Events uint64
 }
 
@@ -513,6 +543,7 @@ func (m *Machine) attach(n int) {
 		m.htMagic = 0 // ⌊2^64/1⌋+1 overflows; charge falls back to the divide
 	}
 	m.nLive = n
+	m.stepping = false
 	for i, c := range m.ctxs {
 		slabCheckContext(c)
 		c.id = i
@@ -529,6 +560,9 @@ func (m *Machine) attach(n int) {
 		c.TxnData = nil
 		c.STMData = nil
 		c.pendingLine = 0
+		c.cont = contNone
+		c.left = 0
+		c.spin = spinState{}
 		if pr := m.probes; pr != nil {
 			pr.phase[i] = PhaseOther
 		}
@@ -672,7 +706,9 @@ func (m *Machine) finish(c *Context) {
 	c.Progress()
 	m.nLive--
 	if m.qtopKey != ^uint64(0) {
-		c.finishPark(m.popMin().parkedIn)
+		next := m.next()
+		m.switches++
+		c.finishPark(next.parkedIn)
 		return
 	}
 	if m.nLive != 0 {
@@ -773,7 +809,11 @@ func (m *Machine) onDeadline(c *Context) {
 // comparison against the cached queue minimum and no coroutine switch. The
 // handover path removes the minimum from the tournament tree and inserts c
 // (two leaf writes, each with one walk toward the root); the successor
-// depends only on the (clock, id) key set, so the schedule is unchanged.
+// depends only on the (clock, id) key set, so the schedule is unchanged. A
+// successor whose next step is a data continuation (a Compute remainder or a
+// spin-wait, see cont.go) is stepped inline on this carrier and re-queued
+// instead of switched to; when that leaves c itself at the minimum, c simply
+// continues and no switch happens at all.
 func (c *Context) maybeYield() {
 	m := c.m
 	if c.key < m.qtopKey {
@@ -783,8 +823,22 @@ func (c *Context) maybeYield() {
 		// context is due.
 		return
 	}
-	next := m.popMin()
+	if m.stepping {
+		m.stepViolation(c)
+	}
+	if next := m.ctxs[m.qtopKey&keyIDMask]; next.cont == contNone {
+		m.popMin()
+		m.qpush(c)
+		m.switches++
+		c.parkOn(next.parkedIn)
+		return
+	}
 	m.qpush(c)
+	next := m.runInline()
+	if next == c {
+		return
+	}
+	m.switches++
 	c.parkOn(next.parkedIn)
 }
 
@@ -804,11 +858,16 @@ func (c *Context) Block() {
 		c.maybeYield()
 		return
 	}
+	if m.stepping {
+		m.stepViolation(c)
+	}
 	c.state = ctxBlocked
 	if m.qtopKey == ^uint64(0) {
 		m.deadlock(c)
 	}
-	c.parkOn(m.popMin().parkedIn)
+	next := m.next()
+	m.switches++
+	c.parkOn(next.parkedIn)
 }
 
 // Wake makes a blocked context runnable no earlier than virtual time at.
@@ -881,15 +940,22 @@ func (c *Context) charge(cyc uint64) {
 const computeQuantum = 160
 
 // Compute models cyc cycles of thread-private computation (no shared-memory
-// side effects).
+// side effects). Up to one quantum it is a single charge and scheduling
+// point. A longer stretch is charged one quantum per scheduling point, and
+// everything after the first quantum is a data continuation (the remainder in
+// Context.left): while c waits in the run queue, whichever carrier pops it
+// charges its next quantum inline instead of switching to c's stack. The
+// charges, their order and every scheduling decision are exactly those of
+// the per-quantum loop.
 func (c *Context) Compute(cyc uint64) {
-	for cyc > computeQuantum {
-		c.charge(computeQuantum)
+	if cyc <= computeQuantum {
+		c.charge(cyc)
 		c.maybeYield()
-		cyc -= computeQuantum
+		return
 	}
-	c.charge(cyc)
-	c.maybeYield()
+	c.left = cyc
+	c.cont = contCompute
+	c.runCont()
 }
 
 // Syscall models a system call: it aborts any in-flight hardware transaction
@@ -991,6 +1057,9 @@ func (c *Context) TxAccess(a Addr, write bool) {
 // and the Invariants clock check enforce the limits.
 const keyIDBits = 10
 
+// keyIDMask extracts the thread id from a packed key.
+const keyIDMask = 1<<keyIDBits - 1
+
 // resetRunq empties the run queue and sizes its tree for n contexts.
 func (m *Machine) resetRunq(n int) {
 	size := 2 << bits.Len(uint(n-1))
@@ -1020,21 +1089,28 @@ func (m *Machine) qpush(c *Context) {
 	m.qtopKey = k
 }
 
-// popMin removes and returns the queue minimum. Every ancestor of the
-// winner's leaf held the winner's key, so each is recomputed from the
-// sibling subtrees along the path. The caller must ensure the queue is
-// nonempty.
+// popMin removes and returns the queue minimum. The caller must ensure the
+// queue is nonempty.
 func (m *Machine) popMin() *Context {
+	id := int(m.qtopKey & keyIDMask)
+	m.qset(id, ^uint64(0))
+	return m.ctxs[id]
+}
+
+// qset stores key k in context id's leaf (MaxUint64 removes it) and
+// recomputes every ancestor on the path from its two children, one of which
+// is the node just recomputed: one load and a branchless min per level. It
+// is exact for any change to one leaf; popMin removes the minimum with it,
+// and an inline step (cont.go) re-keys the minimum in place.
+func (m *Machine) qset(id int, k uint64) {
 	t := m.tour
-	id := int(m.qtopKey & (1<<keyIDBits - 1))
 	i := len(t)>>1 + id
-	t[i] = ^uint64(0)
-	v := ^uint64(0)
+	t[i] = k
+	v := k
 	for i > 1 {
 		v = min(v, t[i^1])
 		i >>= 1
 		t[i] = v
 	}
 	m.qtopKey = v
-	return m.ctxs[id]
 }

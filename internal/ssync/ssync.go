@@ -64,16 +64,13 @@ func (l *Mutex) Lock(c *sim.Context) {
 	costs := c.Machine().Costs
 	prev := c.SetPhase(sim.PhaseSpin)
 	c.Compute(costs.MutexLock - costs.Atomic)
-	for spin := 0; ; spin++ {
-		if cas01(c, l.Addr) {
-			c.Progress()
-			c.SetPhase(prev)
-			return
-		}
-		if spin >= costs.MutexSpinTries {
-			break
-		}
-		c.Compute(costs.MutexSpin)
+	// The spin is cas01 attempts separated by MutexSpin gaps, as a data
+	// continuation: while this thread waits its turn, the scheduler runs the
+	// attempts inline instead of switching to this stack (sim.SpinCAS).
+	if c.SpinCAS(l.Addr, costs.Atomic, costs.MutexSpin, costs.MutexSpinTries) {
+		c.Progress()
+		c.SetPhase(prev)
+		return
 	}
 	// Park. Enqueue before the (yielding) futex charge so a racing Unlock
 	// sees us; the wake-pending protocol in sim.Block covers the window.

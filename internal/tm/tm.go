@@ -294,11 +294,10 @@ func (s *System) elide(c *sim.Context, body func(Tx)) {
 			// lock word can stay set indefinitely (ownership is handed
 			// directly between parked waiters), and an unbounded spin would
 			// livelock — exhausting the retry budget instead sends this
-			// thread into the fair fallback queue.
+			// thread into the fair fallback queue. The wait is a data
+			// continuation the scheduler steps inline (sim.SpinWhileSet).
 			prev := c.SetPhase(sim.PhaseSpin)
-			for spins := 0; c.Load(lockAddr) != 0 && spins < 4*costs.MutexSpinTries; spins++ {
-				c.Compute(costs.MutexSpin)
-			}
+			c.SpinWhileSet(lockAddr, costs.MutexSpin, 4*costs.MutexSpinTries)
 			c.SetPhase(prev)
 		case htm.Conflict:
 			// Brief randomized backoff to break symmetric conflict cycles.

@@ -97,4 +97,27 @@ if awk -v h="$tree_ns" -v f="$flat_ns" -v m="$MIN_TREE_SPEEDUP" 'BEGIN { exit !(
   echo "bench ratchet: FAILED — tree scheduler lead at 512 contexts fell below ${MIN_TREE_SPEEDUP}x" >&2
   exit 1
 fi
+# Inline continuations: in a 64-context Mutex convoy almost every handoff
+# goes to a thread spinning in Lock, which the scheduler steps on the current
+# carrier instead of switching to its stack. A convoy event must therefore
+# cost well under one stack switch: N64 ns/event at most max_convoy_ratio of
+# the ping-pong handoff (about 0.5 with the inline path, about 1.5 when every
+# spin step switches). Medians over -count 5, since single runs jitter.
+max_convoy_ratio=0.6
+median() { sort -g | awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+convoy=$(go test ./internal/ssync/ -run '^$' -bench 'MutexConvoyN64$' -count 5 2>/dev/null)
+pingpong=$(go test ./internal/sim/ -run '^$' -bench 'HandoffPingPong$' -count 5 2>/dev/null)
+convoy_ns=$(echo "$convoy" | awk '/^BenchmarkMutexConvoyN64/ { for (i = 2; i <= NF; i++) if ($i == "ns/event") print $(i - 1) }' | median)
+pingpong_ns=$(echo "$pingpong" | awk '/^BenchmarkHandoffPingPong/ { print $3 }' | median)
+if [ -z "$convoy_ns" ] || [ -z "$pingpong_ns" ]; then
+  echo "bench ratchet: FAILED — could not read the convoy / ping-pong benchmarks" >&2
+  echo "$convoy" "$pingpong" >&2
+  exit 1
+fi
+printf 'bench ratchet: convoy@64 %.1f ns/event, ping-pong handoff %.1f ns/op (ratio %.2f, ceiling %s)\n' \
+  "$convoy_ns" "$pingpong_ns" "$(awk -v c="$convoy_ns" -v p="$pingpong_ns" 'BEGIN { print c/p }')" "$max_convoy_ratio"
+if awk -v c="$convoy_ns" -v p="$pingpong_ns" -v r="$max_convoy_ratio" 'BEGIN { exit !(c > p * r) }'; then
+  echo "bench ratchet: FAILED — convoy events cost more than ${max_convoy_ratio}x a handoff; spin steps are switching stacks" >&2
+  exit 1
+fi
 echo "bench ratchet: OK"
