@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tsxhpc/internal/memo/memotest"
 	"tsxhpc/internal/runopts"
 )
 
@@ -115,4 +116,10 @@ func TestVerifySingleEngine(t *testing.T) {
 	if !strings.Contains(out, "4 seeds x fine:") {
 		t.Fatalf("summary missing engine list:\n%s", out)
 	}
+}
+
+// TestSeedOutcomeRoundTrip: seed outcomes, Counts map included, survive the
+// persistent store with every field set.
+func TestSeedOutcomeRoundTrip(t *testing.T) {
+	memotest.RoundTrip(t, seedOutcome{})
 }

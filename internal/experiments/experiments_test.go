@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"tsxhpc/internal/memo/memotest"
 )
 
 // The full experiment sweeps run in cmd/reproduce and the root benchmarks;
@@ -190,4 +192,10 @@ func TestAbortAnatomyDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatalf("anatomy report missing %q:\n%s", want, serial)
 		}
 	}
+}
+
+// TestCellTypesRoundTrip: the suite's own cell types survive the persistent
+// store with every field set.
+func TestCellTypesRoundTrip(t *testing.T) {
+	memotest.RoundTrip(t, simCell{}, modelAnatomyCell{})
 }

@@ -12,9 +12,9 @@
 //     and knobs — and cycle budgets), and a fingerprint of the simulator
 //     code itself. Editing a cost table, the simulator, or the chaos seed
 //     moves the store to a fresh directory; stale hits are impossible.
-//   - Every entry is a versioned envelope (codec schema number plus a
-//     structural signature of the result type) wrapped in a CRC-checked,
-//     key-verified file. A truncated, bit-flipped, colliding, or
+//   - Every entry is a versioned binary image (codec schema number, the
+//     full key, a structural signature of the result type, and a
+//     CRC-checked payload). A truncated, bit-flipped, colliding, or
 //     schema-stale entry is reported as invalid — the engine recomputes and
 //     rewrites it — never decoded into a wrong value.
 //   - Writes are write-temp-then-rename, so readers (including concurrent
@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -39,10 +38,10 @@ import (
 	"tsxhpc/internal/runner"
 )
 
-// schemaVersion is the entry codec version. Bump it on any incompatible
-// change to the envelope or file layout; old entries then read as invalid
-// and are rewritten.
-const schemaVersion = 1
+// schemaVersion is the entry codec version. Bump it on any change to the
+// entry layout or the payload codec; old entries then read as invalid and
+// are rewritten.
+const schemaVersion = 2
 
 // magic marks a store entry file; a file without it is invalid outright.
 var magic = [8]byte{'T', 'S', 'X', 'M', 'E', 'M', 'O', schemaVersion}
@@ -115,23 +114,10 @@ func (s *Store) path(key runner.Key) string {
 	return filepath.Join(s.dir, hex.EncodeToString(h[:])[:40]+".memo")
 }
 
-// envelope is the versioned codec wrapper around every stored result.
-type envelope struct {
-	// Schema is the codec version the entry was written with.
-	Schema int
-	// Type is the structural signature of the result's Go type (TypeSig):
-	// adding, removing, or retyping a field of any result struct changes it,
-	// so decoding into a reshaped type is refused rather than fudged by
-	// gob's field matching.
-	Type string
-	// Payload is the gob encoding of the result value.
-	Payload []byte
-}
-
 // Load implements runner.Store: it decodes the entry for key into out
-// (a *T) after verifying magic, stored key, checksum, schema, and type
-// signature. Any verification failure is StoreInvalid — the engine
-// recomputes and rewrites. A missing entry is StoreMiss.
+// (a *T) after verifying magic, stored key, type signature, and checksum.
+// Any verification failure is StoreInvalid — the engine recomputes and
+// rewrites. A missing entry is StoreMiss.
 func (s *Store) Load(key runner.Key, out any) runner.LoadStatus {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -142,21 +128,8 @@ func (s *Store) Load(key runner.Key, out any) runner.LoadStatus {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
-	env, ok := openEntry(data, key)
-	if !ok {
-		s.invalid.Add(1)
-		return runner.StoreInvalid
-	}
 	rv := reflect.ValueOf(out)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		s.invalid.Add(1)
-		return runner.StoreInvalid
-	}
-	if env.Schema != schemaVersion || env.Type != TypeSig(rv.Elem().Type()) {
-		s.invalid.Add(1)
-		return runner.StoreInvalid
-	}
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(out); err != nil {
+	if rv.Kind() != reflect.Pointer || rv.IsNil() || !openEntry(data, key, rv.Elem()) {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
@@ -196,59 +169,61 @@ func (s *Store) Save(key runner.Key, v any) error {
 
 // sealEntry encodes v into a complete entry file image:
 //
-//	magic | len(key) | key | len(blob) | crc32(blob) | blob
+//	magic | len(key) | key | len(sig) | sig | len(payload) | crc32(payload) | payload
 //
-// where blob is the gob-encoded envelope. The stored key guards against
-// (astronomically unlikely) filename-hash collisions and makes entries
-// self-describing for debugging.
+// Lengths and the checksum are 4-byte big-endian; sig is TypeSig of v's
+// type and payload is v in the codec of codec.go. The stored key guards
+// against (astronomically unlikely) filename-hash collisions and makes
+// entries self-describing for debugging.
 func sealEntry(key runner.Key, v any) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return nil, fmt.Errorf("memo: encode %T: %w", v, err)
+	rv := reflect.ValueOf(v)
+	if !rv.IsValid() {
+		return nil, errors.New("memo: encode nil value")
 	}
-	var blob bytes.Buffer
-	env := envelope{Schema: schemaVersion, Type: TypeSig(reflect.TypeOf(v)), Payload: payload.Bytes()}
-	if err := gob.NewEncoder(&blob).Encode(env); err != nil {
-		return nil, fmt.Errorf("memo: encode envelope: %w", err)
+	et := entryTypeOf(rv.Type())
+	if et.err != nil {
+		return nil, fmt.Errorf("memo: encode %T: %w", v, et.err)
 	}
-	var out bytes.Buffer
-	out.Write(magic[:])
-	writeChunk(&out, []byte(key))
-	binary.Write(&out, binary.BigEndian, uint32(blob.Len()))
-	binary.Write(&out, binary.BigEndian, crc32.ChecksumIEEE(blob.Bytes()))
-	out.Write(blob.Bytes())
-	return out.Bytes(), nil
+	b := make([]byte, 0, len(magic)+16+len(key)+len(et.sig)+2*et.min)
+	b = append(b, magic[:]...)
+	b = appendChunk(b, string(key))
+	b = appendChunk(b, et.sig)
+	head := len(b)
+	b = et.enc(append(b, make([]byte, 8)...), rv)
+	payload := b[head+8:]
+	binary.BigEndian.PutUint32(b[head:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[head+4:], crc32.ChecksumIEEE(payload))
+	return b, nil
 }
 
-// openEntry verifies a raw entry file image and returns its envelope.
-func openEntry(data []byte, key runner.Key) (envelope, bool) {
-	var env envelope
-	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic[:]) {
-		return env, false
+// openEntry verifies a raw entry file image written for key and decodes its
+// payload into v (settable). It reports false — v possibly part-written —
+// for any image sealEntry would not have produced for key and v's type.
+func openEntry(data []byte, key runner.Key, v reflect.Value) bool {
+	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic[:]) {
+		return false
 	}
-	rest := data[len(magic):]
-	storedKey, rest, ok := readChunk(rest)
+	storedKey, rest, ok := readChunk(data[len(magic):])
 	if !ok || string(storedKey) != string(key) {
-		return env, false
+		return false
 	}
-	if len(rest) < 8 {
-		return env, false
+	et := entryTypeOf(v.Type())
+	sig, rest, ok := readChunk(rest)
+	if !ok || et.err != nil || string(sig) != et.sig || len(rest) < 8 {
+		return false
 	}
-	blobLen := binary.BigEndian.Uint32(rest[:4])
-	sum := binary.BigEndian.Uint32(rest[4:8])
-	blob := rest[8:]
-	if uint32(len(blob)) != blobLen || crc32.ChecksumIEEE(blob) != sum {
-		return env, false
+	payload := rest[8:]
+	if uint64(len(payload)) != uint64(binary.BigEndian.Uint32(rest)) ||
+		crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[4:]) {
+		return false
 	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
-		return env, false
-	}
-	return env, true
+	d := decoder{buf: payload}
+	et.dec(&d, v)
+	return !d.bad && len(d.buf) == 0
 }
 
-func writeChunk(w *bytes.Buffer, b []byte) {
-	binary.Write(w, binary.BigEndian, uint32(len(b)))
-	w.Write(b)
+func appendChunk(b []byte, s string) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
 }
 
 func readChunk(data []byte) (chunk, rest []byte, ok bool) {
@@ -265,9 +240,11 @@ func readChunk(data []byte) (chunk, rest []byte, ok bool) {
 // TypeSig returns a structural signature of t: its name plus the recursive
 // names and types of every field. Reshaping any result struct — adding,
 // removing, reordering, or retyping a field, at any nesting depth — changes
-// the signature, so old entries read as invalid instead of being partially
-// decoded by gob's name matching.
-func TypeSig(t reflect.Type) string {
+// the signature, so old entries read as invalid instead of being decoded
+// into the wrong fields. It is computed once per type.
+func TypeSig(t reflect.Type) string { return entryTypeOf(t).sig }
+
+func typeSig(t reflect.Type) string {
 	var b bytes.Buffer
 	writeTypeSig(&b, t, make(map[reflect.Type]bool))
 	return b.String()

@@ -1,9 +1,12 @@
 package memo
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,7 +136,7 @@ func TestKeyVerification(t *testing.T) {
 }
 
 // TestTypeSignatureGuard: an entry written as one type must not decode into
-// a reshaped type, even one gob would happily field-match.
+// a reshaped type, even one a name-matching decoder would happily accept.
 func TestTypeSignatureGuard(t *testing.T) {
 	type v1 struct {
 		Cycles uint64
@@ -299,5 +302,160 @@ func TestEngineIntegrationConcurrent(t *testing.T) {
 	}
 	if st := e3.Stats(); st.CacheHits != keys || st.Executed != 0 {
 		t.Fatalf("warm engine stats = %+v, want %d hits", st, keys)
+	}
+}
+
+// TestEntryGolden pins the on-disk entry format. Changing the entry layout
+// or the payload codec requires bumping schemaVersion (old entries must then
+// read as invalid, not be misdecoded) and regenerating this image. Reshaping
+// stamp.Result changes the signature section alone and needs no bump: the
+// signature check already refuses old entries.
+func TestEntryGolden(t *testing.T) {
+	in := stamp.Result{
+		Workload: "bayes", Mode: tm.TSX, Threads: 4,
+		Cycles: 123456789, AbortRate: 12.5, Fallbacks: 3, Events: 99,
+	}
+	in.AbortCauses[1] = 42
+	const golden = "5453584d454d4f02" + // magic, schema 2
+		"00000012" + "7374616d702f62617965732f7473782f3454" + // key
+		"000000af" + // signature length, then the signature
+		"7374616d702e526573756c747b576f726b6c6f616420737472696e6728737472" +
+		"696e67293b4d6f646520746d2e4d6f646528696e74293b5468726561647320696e" +
+		"7428696e74293b4379636c65732075696e7436342875696e743634293b41626f72" +
+		"745261746520666c6f6174363428666c6f61743634293b41626f72744361757365" +
+		"73205b375d75696e7436343b46616c6c6261636b732075696e7436343b4576656e" +
+		"74732075696e7436343b7d" +
+		"0000001d" + "41ecb3f6" + // payload length, CRC32
+		"056261796573" + // Workload
+		"06" + "08" + "959aef3a" + // Mode (zigzag), Threads (zigzag), Cycles
+		"4029000000000000" + // AbortRate
+		"002a0000000000" + // AbortCauses
+		"03" + "63" // Fallbacks, Events
+	got, err := sealEntry("stamp/bayes/tsx/4T", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := hex.EncodeToString(got); h != golden {
+		t.Fatalf("entry image changed:\n got %s\nwant %s", h, golden)
+	}
+}
+
+// schema1Entry is the entry the gob-based schema 1 wrote for the
+// stamp.Result of TestEntryGolden.
+const schema1Entry = "" +
+	"5453584d454d4f01000000127374616d702f62617965732f7473782f34540000" +
+	"01ad8d5972c336ff8303010108656e76656c6f706501ff840001030106536368" +
+	"656d61010400010454797065010c0001075061796c6f6164010a000000fe0173" +
+	"ff84010201ffaf7374616d702e526573756c747b576f726b6c6f616420737472" +
+	"696e6728737472696e67293b4d6f646520746d2e4d6f646528696e74293b5468" +
+	"726561647320696e7428696e74293b4379636c65732075696e7436342875696e" +
+	"743634293b41626f72745261746520666c6f6174363428666c6f61743634293b" +
+	"41626f7274436175736573205b375d75696e7436343b46616c6c6261636b7320" +
+	"75696e7436343b4576656e74732075696e7436343b7d01ffb9787f0301010652" +
+	"6573756c7401ff800001080108576f726b6c6f6164010c0001044d6f64650104" +
+	"0001075468726561647301040001064379636c6573010600010941626f727452" +
+	"617465010800010b41626f727443617573657301ff8200010946616c6c626163" +
+	"6b7301060001064576656e7473010600000019ff81010101095b375d75696e74" +
+	"363401ff82000106010e000025ff80010562617965730106010801fc075bcd15" +
+	"01fe29400107002a0000000000010301630000"
+
+// TestForeignEntriesRecomputed: a schema-1 entry, an entry of the current
+// layout stamped with another schema, and arbitrary bytes all read as
+// invalid, and the engine recomputes and rewrites them.
+func TestForeignEntriesRecomputed(t *testing.T) {
+	const key = runner.Key("stamp/bayes/tsx/4T")
+	want := stamp.Result{Workload: "bayes", Threads: 4}
+	current, err := sealEntry(key, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherSchema := append([]byte(nil), current...)
+	otherSchema[len(magic)-1] = schemaVersion + 1
+	schema1, err := hex.DecodeString(schema1Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := map[string][]byte{
+		"schema 1":     schema1,
+		"other schema": otherSchema,
+		"not an entry": []byte("#!/bin/sh\necho hello\n"),
+		"empty":        nil,
+	}
+	for name, img := range foreign {
+		s := openTest(t)
+		if err := os.WriteFile(s.path(key), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out stamp.Result
+		if st := s.Load(key, &out); st != runner.StoreInvalid {
+			t.Fatalf("%s: Load = %v, want invalid", name, st)
+		}
+		e := runner.New(1)
+		e.SetStore(s)
+		got, err := runner.Do(e, key, func() (stamp.Result, error) { return want, nil })
+		if err != nil || got != want || e.Stats().Executed != 1 {
+			t.Fatalf("%s: engine returned %+v, %v after %d executions", name, got, err, e.Stats().Executed)
+		}
+		if rewritten, _ := os.ReadFile(s.path(key)); !bytes.Equal(rewritten, current) {
+			t.Fatalf("%s: entry not rewritten in the current format", name)
+		}
+	}
+}
+
+// TestNonCanonicalPayloadInvalid: a payload behind a valid header decodes
+// only if it is exactly what the encoder writes for some value.
+func TestNonCanonicalPayloadInvalid(t *testing.T) {
+	type small struct {
+		B   bool
+		I8  int8
+		U   uint16
+		F32 float32
+		S   string
+		Xs  []uint64
+		M   map[string]int
+	}
+	want := small{B: true, I8: -3, U: 300, F32: 1.5, S: "ab", Xs: []uint64{7}, M: map[string]int{"a": 1, "b": 2}}
+	parts := []string{"01", "05", "ac02", "3fc00000", "026162", "0107", "02016102016204"}
+	payload := func(i int, part string) []byte {
+		p := append([]string(nil), parts...)
+		if i >= 0 {
+			p[i] = part
+		}
+		b, err := hex.DecodeString(strings.Join(p, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	s := openTest(t)
+	load := func(p []byte) (small, runner.LoadStatus) {
+		if err := os.WriteFile(s.path("k"), wrapPayload("k", small{}, p), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out small
+		return out, s.Load("k", &out)
+	}
+	valid := payload(-1, "")
+	if got, st := load(valid); st != runner.StoreHit || !reflect.DeepEqual(got, want) {
+		t.Fatalf("canonical payload: Load = %v, %+v", st, got)
+	}
+	bad := map[string][]byte{
+		"bool byte 2":        payload(0, "02"),
+		"int8 out of range":  payload(1, "9003"),
+		"uint16 overflow":    payload(2, "f0a204"),
+		"overlong varint":    payload(2, "ac8200"),
+		"signalling NaN":     payload(3, "7f800001"),
+		"string past end":    payload(4, "096162"),
+		"huge slice length":  payload(5, "ffffffff0f07"),
+		"map keys unordered": payload(6, "02016204016102"),
+		"map key repeated":   payload(6, "02016102016104"),
+		"trailing byte":      append(valid, 0),
+		"truncated":          valid[:len(valid)-1],
+		"empty":              nil,
+	}
+	for name, p := range bad {
+		if _, st := load(p); st != runner.StoreInvalid {
+			t.Errorf("%s: Load = %v, want invalid", name, st)
+		}
 	}
 }

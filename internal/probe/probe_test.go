@@ -2,7 +2,6 @@ package probe
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -88,25 +87,6 @@ func TestMergeOrderIndependent(t *testing.T) {
 	h, ok := want.Hist("lat")
 	if !ok || h.Count != 3 {
 		t.Fatalf("merged hist wrong: %+v ok=%v", h, ok)
-	}
-}
-
-// Snapshots ride inside memoized cell results, so they must round-trip gob.
-func TestSnapshotGobRoundTrip(t *testing.T) {
-	s := NewSet()
-	s.Counter("x").Add(7)
-	s.Hist("h").Observe(9)
-	snap := s.Snapshot()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	var got Snapshot
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatalf("gob round-trip mismatch:\n got %+v\nwant %+v", got, snap)
 	}
 }
 
