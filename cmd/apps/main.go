@@ -26,7 +26,6 @@ func main() {
 	o.Banner(os.Stdout)
 	fail := func(err error) {
 		if err != nil {
-			runopts.ReportSupervision(os.Stderr, suite.E)
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -47,7 +46,6 @@ func main() {
 		fmt.Print(t.Render())
 		fmt.Printf("\ntsx.coarsen over baseline at 8 threads (geomean): %.2fx (paper: 1.41x mean)\n", gain)
 	}
-	runopts.ReportSupervision(os.Stderr, suite.E)
 	if err := o.WriteObservability("apps", os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -47,12 +47,10 @@ func main() {
 
 	fig, err := suite.ClompSweep(cfg, xs, *threads)
 	if err != nil {
-		runopts.ReportSupervision(os.Stderr, suite.E)
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Print(fig.Render())
-	runopts.ReportSupervision(os.Stderr, suite.E)
 	if err := o.WriteObservability("clomptm", os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

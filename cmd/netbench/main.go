@@ -24,13 +24,11 @@ func main() {
 
 	t, gain, err := suite.Figure6()
 	if err != nil {
-		runopts.ReportSupervision(os.Stderr, suite.E)
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Print(t.Render())
 	fmt.Printf("\ntsx.busywait average bandwidth gain over mutex: %.2fx (paper: 1.31x)\n", gain)
-	runopts.ReportSupervision(os.Stderr, suite.E)
 	if err := o.WriteObservability("netbench", os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

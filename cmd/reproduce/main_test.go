@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"tsxhpc/internal/experiments"
+	"tsxhpc/internal/runner"
 	"tsxhpc/internal/runopts"
 )
 
@@ -300,5 +302,172 @@ func TestRunTimeout(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "host wall-clock budget exceeded") {
 		t.Fatalf("missing timeout cause:\n%s", out.String())
+	}
+}
+
+// TestRunPoisonQuarantineDegraded: a poisoned cell prefix fails its section
+// while the other section reproduces; the run lists the quarantined cells
+// on stdout and exits with the degraded code, distinct from total failure.
+func TestRunPoisonQuarantineDegraded(t *testing.T) {
+	var out, errOut strings.Builder
+	o := options{
+		Options: runopts.Options{Quarantine: 8, Poison: "lockset/"},
+		only:    "E9,A3",
+	}
+	code := run(o, &out, &errOut)
+	if code != exitDegraded {
+		t.Fatalf("exit = %d, want %d (degraded); stderr: %s", code, exitDegraded, errOut.String())
+	}
+	s := out.String()
+	if got := strings.Count(s, "FAILED:"); got != 1 {
+		t.Fatalf("FAILED sections = %d, want 1 (A3 only):\n%s", got, s)
+	}
+	for _, want := range []string{
+		"quarantined cells",
+		"\n  lockset/",
+		runner.ErrPoisoned.Error(),
+		"reproduced with 1 failed experiment(s) in",
+	} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("stdout missing %q:\n%s", want, s)
+		}
+	}
+
+	// Same scenario with a zero quarantine cap: the same degradation now
+	// counts as a total failure.
+	out.Reset()
+	errOut.Reset()
+	o.Quarantine = 0
+	if code := run(o, &out, &errOut); code != exitTotalFailure {
+		t.Fatalf("exit with quarantine cap 0 = %d, want %d", code, exitTotalFailure)
+	}
+}
+
+// cleanSubset is the stdout of an uninterrupted, fault-free, uncached run
+// of E9 and A3, footer stripped: the reference every resumed run must match.
+func cleanSubset(t *testing.T) string {
+	t.Helper()
+	var out, errOut strings.Builder
+	if code := run(options{only: "E9,A3"}, &out, &errOut); code != 0 {
+		t.Fatalf("clean run exit = %d; stderr: %s", code, errOut.String())
+	}
+	return stripFooter(t, out.String())
+}
+
+// rerunFromCache reruns E9 and A3 on cache and returns the footer-stripped
+// stdout and the bench report, failing unless the run exits 0.
+func rerunFromCache(t *testing.T, cache string) (string, benchReport) {
+	t.Helper()
+	var out, errOut strings.Builder
+	bench := filepath.Join(t.TempDir(), "bench.json")
+	o := options{Options: runopts.Options{Cache: cache}, only: "E9,A3", benchPath: bench, benchForce: true}
+	if code := run(o, &out, &errOut); code != 0 {
+		t.Fatalf("rerun exit = %d; stderr: %s", code, errOut.String())
+	}
+	return stripFooter(t, out.String()), readBench(t, bench)
+}
+
+// TestRunResumeByteIdentity: a run that fails partway has already stored
+// every completed cell in the result cache, so a rerun on the same cache
+// serves those cells from disk, simulates only the rest, and prints stdout
+// byte-identical to an uninterrupted run.
+func TestRunResumeByteIdentity(t *testing.T) {
+	clean := cleanSubset(t)
+	cache := t.TempDir()
+	var out, errOut strings.Builder
+	o := options{Options: runopts.Options{Cache: cache, Quarantine: 8, Poison: "lockset/"}, only: "E9,A3"}
+	if code := run(o, &out, &errOut); code != exitDegraded {
+		t.Fatalf("poisoned run exit = %d, want %d; stderr: %s", code, exitDegraded, errOut.String())
+	}
+	got, rep := rerunFromCache(t, cache)
+	if got != clean {
+		t.Fatalf("rerun stdout differs from uninterrupted run:\n--- clean ---\n%s\n--- rerun ---\n%s", clean, got)
+	}
+	if rep.CacheHits == 0 || rep.JobsExecuted == 0 {
+		t.Fatalf("rerun = %d cache hits, %d executed; want E9 served and A3 simulated", rep.CacheHits, rep.JobsExecuted)
+	}
+}
+
+// interruptAfterFirstSection makes the section loop see the interrupted
+// flag (what the first SIGINT raises) once E9, the first selected section,
+// has finished. The returned func restores the catalog and the flag.
+func interruptAfterFirstSection() (restore func()) {
+	orig := catalog
+	catalog = append([]experiment(nil), orig...)
+	for i := range catalog {
+		if catalog[i].alias == "E9" {
+			body := catalog[i].run
+			catalog[i].run = func(s *experiments.Suite) (string, error) {
+				defer interrupted.Store(true)
+				return body(s)
+			}
+		}
+	}
+	return func() {
+		catalog = orig
+		interrupted.Store(false)
+	}
+}
+
+// TestRunInterruptExitsResumable: interrupted after one section, the run
+// exits 130 without a completion footer. With the cache on it points at the
+// cache, and a rerun on the same cache serves the finished section from
+// disk with byte-identical stdout; with the cache off it says a rerun starts
+// over.
+func TestRunInterruptExitsResumable(t *testing.T) {
+	clean := cleanSubset(t)
+	interrupt := func(cache string) (string, string) {
+		restore := interruptAfterFirstSection()
+		var out, errOut strings.Builder
+		code := run(options{Options: runopts.Options{Cache: cache}, only: "E9,A3"}, &out, &errOut)
+		restore()
+		if code != exitInterrupted {
+			t.Fatalf("exit = %d, want %d; stderr: %s", code, exitInterrupted, errOut.String())
+		}
+		if strings.Contains(out.String(), "reproduced") || !strings.Contains(out.String(), "--- E9 ---") {
+			t.Fatalf("interrupted run should print E9 and no footer:\n%s", out.String())
+		}
+		return out.String(), errOut.String()
+	}
+
+	_, errOut := interrupt(runopts.CacheOff)
+	if !strings.Contains(errOut, "1 section(s) to go (cache off; a rerun starts over)") {
+		t.Fatalf("stderr missing start-over note: %s", errOut)
+	}
+
+	cache := t.TempDir()
+	_, errOut = interrupt(cache)
+	if !strings.Contains(errOut, "1 section(s) done and 1 to go; rerun with the same -cache to continue") {
+		t.Fatalf("stderr missing cache resume hint: %s", errOut)
+	}
+	got, rep := rerunFromCache(t, cache)
+	if got != clean {
+		t.Fatalf("post-interrupt rerun differs from a clean run:\n--- clean ---\n%s\n--- rerun ---\n%s", clean, got)
+	}
+	if rep.CacheHits == 0 {
+		t.Fatalf("rerun served nothing from the cache: %+v", rep)
+	}
+}
+
+// TestRunFullCatalogContainment: under a virtual-cycle budget no cell can
+// meet, every section of the catalog fails in place with the typed budget
+// cause, the failure summary lists each one, and the run is a total failure.
+func TestRunFullCatalogContainment(t *testing.T) {
+	var out, errOut strings.Builder
+	code := run(options{Options: runopts.Options{MaxCycles: 1_000}, benchPath: ""}, &out, &errOut)
+	if code != exitTotalFailure {
+		t.Fatalf("exit = %d, want %d; stderr: %s", code, exitTotalFailure, errOut.String())
+	}
+	s := out.String()
+	if got := strings.Count(s, "FAILED:"); got != len(catalog) {
+		t.Fatalf("FAILED sections = %d, want %d (every section):\n%s", got, len(catalog), s)
+	}
+	for _, ex := range catalog {
+		if !strings.Contains(s, "\n  "+ex.id+": ") {
+			t.Fatalf("failure summary does not list %s:\n%s", ex.id, s)
+		}
+	}
+	if !strings.Contains(s, "virtual-cycle budget of 1000 exceeded") {
+		t.Fatalf("missing the typed budget cause:\n%s", s)
 	}
 }

@@ -25,12 +25,10 @@ func main() {
 
 	t, err := suite.Figure3()
 	if err != nil {
-		runopts.ReportSupervision(os.Stderr, suite.E)
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Print(t.Render())
-	runopts.ReportSupervision(os.Stderr, suite.E)
 	if err := o.WriteObservability("rmstm", os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -33,7 +33,6 @@ func main() {
 	o.Banner(os.Stdout)
 	fail := func(err error) {
 		if err != nil {
-			runopts.ReportSupervision(os.Stderr, suite.E)
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -87,7 +86,6 @@ func main() {
 		fail(err)
 		fmt.Print(t.Render())
 	}
-	runopts.ReportSupervision(os.Stderr, suite.E)
 	if err := o.WriteObservability("stamp", os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
 	"tsxhpc/internal/memo/memotest"
+	"tsxhpc/internal/runner"
 	"tsxhpc/internal/runopts"
 )
 
@@ -122,4 +124,121 @@ func TestVerifySingleEngine(t *testing.T) {
 // persistent store with every field set.
 func TestSeedOutcomeRoundTrip(t *testing.T) {
 	memotest.RoundTrip(t, seedOutcome{})
+}
+
+// TestVerifyRejectsUnhonouredFlags: verify builds its machines itself and
+// never opens the result cache or writes sidecars, so the flags that would
+// ask it to — and the retry, journal and job-chaos flags that no binary has
+// any more — are not defined: parsing fails naming the flag, which the
+// command line turns into exit 2.
+func TestVerifyRejectsUnhonouredFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cache", "/tmp/c"},
+		{"-metrics"},
+		{"-metricsout", "m.json"},
+		{"-trace", "t.json"},
+		{"-retries", "3"},
+		{"-journal", "off"},
+		{"-resume"},
+		{"-jobchaos", "1"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			fs := flag.NewFlagSet("verify", flag.ContinueOnError)
+			var usage strings.Builder
+			fs.SetOutput(&usage)
+			var o options
+			register(fs, &o)
+			err := fs.Parse(args)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+				t.Fatalf("err = %v, want an undefined-flag error naming %s", err, args[0])
+			}
+		})
+	}
+	// The flags verify does honour still parse.
+	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
+	var o options
+	register(fs, &o)
+	if err := fs.Parse([]string{"-seeds", "3", "-poison", "seed/2", "-quarantine", "1", "-chaos", "4", "-parallel", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	o.Finish(fs)
+	if o.seeds != 3 || o.Poison != "seed/2" || o.Quarantine != 1 || !o.ChaosSet || o.Parallel != 2 {
+		t.Fatalf("parsed options = %+v", o)
+	}
+}
+
+// TestVerifyPoisonContained: a seed that fails is reported in place and the
+// rest of the sweep still cross-checks — degraded exit, not total failure,
+// unless the quarantine cap says otherwise.
+func TestVerifyPoisonContained(t *testing.T) {
+	o := options{seeds: 9, engines: "tsx,fine"}
+	o.Options = runopts.Options{Quarantine: 8, Poison: "seed/4"}
+	code, out, errOut := drive(t, o)
+	if code != exitDegraded {
+		t.Fatalf("exit = %d, want %d (degraded)\nstdout:\n%s\nstderr:\n%s", code, exitDegraded, out, errOut)
+	}
+	for _, want := range []string{
+		"seed    4 ERROR",
+		runner.ErrPoisoned.Error(),
+		"verify: 9 seeds x tsx,fine:",
+		"verify: DEGRADED: 1 of 9 seeds errored (1 quarantined); the rest agree",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("stdout missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "verify: OK") || strings.Contains(out, "FAILED") {
+		t.Fatalf("degraded run claimed OK or FAILED:\n%s", out)
+	}
+
+	// A zero quarantine cap turns the same degradation into a total failure.
+	o.Quarantine = 0
+	if code, _, _ := drive(t, o); code != exitTotalFailure {
+		t.Fatalf("exit with quarantine cap 0 = %d, want %d", code, exitTotalFailure)
+	}
+}
+
+// TestVerifySupervisionParallelDeterminism: a degraded sweep's stdout —
+// errored seeds, verdicts and totals — is byte-identical at -parallel 1
+// and 8.
+func TestVerifySupervisionParallelDeterminism(t *testing.T) {
+	do := func(parallel int) string {
+		o := options{seeds: 12, engines: "tsx,fine", verbose: true}
+		o.Options = runopts.Options{Parallel: parallel, Quarantine: 8, Poison: "seed/3,seed/11"}
+		code, out, errOut := drive(t, o)
+		if code != exitDegraded {
+			t.Fatalf("exit = %d at -parallel %d\nstdout:\n%s\nstderr:\n%s", code, parallel, out, errOut)
+		}
+		return out
+	}
+	out1, out8 := do(1), do(8)
+	if out1 != out8 {
+		t.Fatalf("-parallel changed stdout:\n%s\n---\n%s", out1, out8)
+	}
+	if !strings.Contains(out1, "2 of 12 seeds errored (2 quarantined)") {
+		t.Fatalf("stdout missing the quarantine count:\n%s", out1)
+	}
+}
+
+// TestVerifyInterruptExitsResumable: with the interrupted flag raised (what
+// the first SIGINT does), the sweep stops submitting seeds and exits 130
+// without a verdict, saying a rerun starts over; the rerun completes the
+// clean sweep.
+func TestVerifyInterruptExitsResumable(t *testing.T) {
+	o := options{seeds: 9, engines: "tsx,fine", verbose: true}
+	interrupted.Store(true)
+	code, out, errOut := drive(t, o)
+	interrupted.Store(false)
+	if code != exitInterrupted {
+		t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, exitInterrupted, errOut)
+	}
+	if strings.Contains(out, "verify: OK") {
+		t.Fatalf("interrupted run printed a verdict:\n%s", out)
+	}
+	if !strings.Contains(errOut, "0 seed(s) done and 9 to go (no state is kept; a rerun starts over)") {
+		t.Fatalf("stderr missing start-over note:\n%s", errOut)
+	}
+	if code, out, errOut := drive(t, o); code != 0 || !strings.Contains(out, "verify: OK") {
+		t.Fatalf("rerun exit = %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
 }

@@ -10,11 +10,21 @@
 // function of its key. The engine only changes *when* a cell runs on the
 // host, never *what* it computes, and callers collect futures in a fixed
 // order, so rendered output is byte-identical to a serial run.
+//
+// Failure containment follows from the same purity. A job whose body returns
+// an error or panics becomes one failed future; the workers and every other
+// job keep running. Retrying would only reproduce the failure, so the key is
+// quarantined instead: Quarantined lists it and the sweep completes around
+// it. Poison prefixes (SetPoison) fail matching keys on purpose, to exercise
+// that path end to end.
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 )
 
@@ -49,12 +59,8 @@ type Stats struct {
 	// re-executed and the entry rewritten.
 	CacheInvalid uint64
 
-	// Retries counts supervised attempts that failed and were rescheduled
-	// with backoff (zero unless a policy is installed and faults occurred —
-	// supervision is free on the happy path).
-	Retries uint64
-	// Quarantined counts cells isolated by deterministic failures; the rest
-	// of the sweep completes without them.
+	// Quarantined counts failed jobs (error return, panic, or poison
+	// prefix); the rest of the sweep completes without them.
 	Quarantined uint64
 }
 
@@ -108,10 +114,11 @@ type Engine struct {
 	workers int
 	sem     chan struct{} // worker slots
 	store   Store
-	sup     *supervisor // nil: unsupervised (no retry/quarantine layer)
+	poison  []string
 
-	mu   sync.Mutex
-	jobs map[Key]*job
+	mu     sync.Mutex
+	jobs   map[Key]*job
+	failed []Key
 
 	executed     uint64
 	deduped      uint64
@@ -156,6 +163,43 @@ func (e *Engine) SetStore(s Store) {
 	e.mu.Unlock()
 }
 
+// ErrPoisoned is the cause of every job failed by a poison prefix.
+var ErrPoisoned = errors.New("key matches a poison prefix")
+
+// SetPoison makes every job whose key starts with one of prefixes fail with
+// ErrPoisoned before its store probe, so a cache-served cell fails too.
+// Empty prefixes are ignored. Call it before the first submission.
+func (e *Engine) SetPoison(prefixes []string) {
+	var keep []string
+	for _, p := range prefixes {
+		if p != "" {
+			keep = append(keep, p)
+		}
+	}
+	e.mu.Lock()
+	e.poison = keep
+	e.mu.Unlock()
+}
+
+func poisoned(key Key, prefixes []string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(string(key), p) {
+			return true
+		}
+	}
+	return false
+}
+
+// Quarantined returns the keys of failed jobs, sorted. Call it after
+// Wait-ing the futures of interest.
+func (e *Engine) Quarantined() []Key {
+	e.mu.Lock()
+	out := append([]Key(nil), e.failed...)
+	e.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 // Stats returns a snapshot of engine activity. It is safe to call
 // concurrently with submissions, but Events only includes jobs that have
 // finished.
@@ -164,14 +208,9 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		Workers: e.workers, Executed: e.executed, Deduped: e.deduped, Events: e.events,
 		CacheHits: e.cacheHits, CacheMisses: e.cacheMisses, CacheInvalid: e.cacheInvalid,
+		Quarantined: uint64(len(e.failed)),
 	}
-	sup := e.sup
 	e.mu.Unlock()
-	if sup != nil {
-		sup.mu.Lock()
-		st.Retries, st.Quarantined = sup.retries, sup.quarantined
-		sup.mu.Unlock()
-	}
 	return st
 }
 
@@ -195,74 +234,67 @@ func Submit[T any](e *Engine, key Key, fn func() (T, error)) Future[T] {
 	}
 	j := &job{done: make(chan struct{})}
 	e.jobs[key] = j
-	store := e.store
-	sup := e.sup
+	store, poison := e.store, e.poison
 	e.mu.Unlock()
 
 	go func() {
 		e.sem <- struct{}{} // acquire a worker slot
 		defer func() {
 			if p := recover(); p != nil {
-				// Containment: one panicking job becomes one failed future;
-				// workers and every other job keep running. Error panics
-				// (e.g. *sim.StallError from a livelock watchdog) are wrapped
-				// so errors.As still reaches the typed cause. With a
-				// supervisor installed this is a second line of defense only:
-				// each attempt is already contained in protect().
+				// Error panics (e.g. *sim.StallError from a livelock
+				// watchdog) are wrapped so errors.As still reaches the typed
+				// cause.
 				if err, ok := p.(error); ok {
 					j.err = fmt.Errorf("runner: job %q panicked: %w", key, err)
 				} else {
 					j.err = fmt.Errorf("runner: job %q panicked: %v", key, p)
 				}
 			}
-			if j.events != 0 {
-				e.mu.Lock()
-				e.events += j.events
-				e.mu.Unlock()
-			}
-			<-e.sem
-			close(j.done) // after the event accounting, so Stats() deltas taken post-Wait are exact
-		}()
-		// body is one attempt end to end: store probe, execution, write-back.
-		// The supervisor wraps the whole of it, so injected job-level faults
-		// hit before the store probe — a "flaky host" can fail even a
-		// cache-served cell, which is exactly what resume/retry must absorb.
-		body := func() (any, error) {
-			var cached T
-			switch store.Load(key, &cached) {
-			case StoreHit:
-				e.mu.Lock()
-				e.cacheHits++
-				e.mu.Unlock()
-				return cached, nil
-			case StoreMiss:
-				e.mu.Lock()
-				e.cacheMisses++
-				e.mu.Unlock()
-			case StoreInvalid:
-				e.mu.Lock()
-				e.cacheInvalid++
-				e.mu.Unlock()
-			}
 			e.mu.Lock()
-			e.executed++
-			e.mu.Unlock()
-			v, err := fn()
-			if err == nil {
-				if ev, ok := any(v).(Eventer); ok {
-					j.events = ev.SimEvents()
-				}
-				// Best-effort persistence: a failed write (full disk, races
-				// with another process) only costs a future recompute.
-				_ = store.Save(key, v)
+			e.events += j.events
+			if j.err != nil {
+				e.failed = append(e.failed, key)
 			}
-			return v, err
+			e.mu.Unlock()
+			<-e.sem
+			close(j.done) // after the accounting, so Stats() deltas taken post-Wait are exact
+		}()
+		if poisoned(key, poison) {
+			j.err = fmt.Errorf("runner: job %q failed: %w", key, ErrPoisoned)
+			return
 		}
-		if sup != nil {
-			j.val, j.err = sup.run(key, body)
-		} else {
-			j.val, j.err = body()
+		var cached T
+		switch store.Load(key, &cached) {
+		case StoreHit:
+			e.mu.Lock()
+			e.cacheHits++
+			e.mu.Unlock()
+			j.val = cached
+			return
+		case StoreMiss:
+			e.mu.Lock()
+			e.cacheMisses++
+			e.mu.Unlock()
+		case StoreInvalid:
+			e.mu.Lock()
+			e.cacheInvalid++
+			e.mu.Unlock()
 		}
+		e.mu.Lock()
+		e.executed++
+		e.mu.Unlock()
+		v, err := fn()
+		if err != nil {
+			j.err = fmt.Errorf("runner: job %q failed: %w", key, err)
+			return
+		}
+		if ev, ok := any(v).(Eventer); ok {
+			j.events = ev.SimEvents()
+		}
+		// Best-effort persistence: a failed write (full disk, races with
+		// another process) only costs a future recompute.
+		_ = store.Save(key, v)
+		j.val = v
 	}()
 	return Future[T]{j}
 }

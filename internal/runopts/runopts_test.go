@@ -2,12 +2,14 @@ package runopts
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"tsxhpc/internal/runner"
 	"tsxhpc/internal/sim"
 	"tsxhpc/internal/tm"
 )
@@ -128,6 +130,52 @@ func TestPlanAndStallResolution(t *testing.T) {
 	}
 }
 
+// TestSupervisionFlagParsing: -quarantine and -poison parse into the
+// options, the defaults arm nothing, and the retry, journal and job-chaos
+// flags that once sat beside them are no longer defined.
+func TestSupervisionFlagParsing(t *testing.T) {
+	o, err := parse(t, "-quarantine", "2", "-poison", "stamp/bayes, ,net/echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.PoisonPrefixes(); o.Quarantine != 2 || len(got) != 2 || got[0] != "stamp/bayes" || got[1] != "net/echo" {
+		t.Fatalf("quarantine/poison = %d/%q", o.Quarantine, got)
+	}
+
+	o, err = parse(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Quarantine != DefaultQuarantine || o.PoisonPrefixes() != nil {
+		t.Fatalf("defaults = %+v", o)
+	}
+
+	for _, args := range [][]string{{"-retries", "3"}, {"-journal", "off"}, {"-resume"}, {"-jobchaos", "1"}} {
+		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: err = %v, want an undefined-flag error", args, err)
+		}
+	}
+}
+
+// TestSuperviseWiresPlanAndSeed: Setup hands the -poison prefixes to the
+// suite's engine, so a poisoned cell fails with runner.ErrPoisoned and is
+// quarantined while a healthy cell runs.
+func TestSuperviseWiresPlanAndSeed(t *testing.T) {
+	o := Options{Parallel: 2, Cache: CacheOff, Poison: "bad/"}
+	suite, _, cleanup := o.Setup(&strings.Builder{})
+	defer cleanup()
+	e := suite.E
+	if _, err := runner.Do(e, "bad/cell", func() (int, error) { return 1, nil }); !errors.Is(err, runner.ErrPoisoned) {
+		t.Fatalf("poisoned cell: %v", err)
+	}
+	if v, err := runner.Do(e, "good/cell", func() (int, error) { return 7, nil }); err != nil || v != 7 {
+		t.Fatalf("healthy cell: %d, %v", v, err)
+	}
+	if q := e.Quarantined(); len(q) != 1 || q[0] != "bad/cell" {
+		t.Fatalf("quarantined = %v", q)
+	}
+}
+
 // TestSetupCacheUnopenable: a -cache path that cannot be a directory (it is a
 // file) degrades to a warning, not a failure — the suite still works.
 func TestSetupCacheUnopenable(t *testing.T) {
@@ -175,7 +223,7 @@ func TestObservabilitySidecars(t *testing.T) {
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "metrics.json")
 	tpath := filepath.Join(dir, "trace.json")
-	o, err := parse(t, "-metricsout", mpath, "-trace", tpath, "-cache", dir+"/cache", "-journal", "off")
+	o, err := parse(t, "-metricsout", mpath, "-trace", tpath, "-cache", dir+"/cache")
 	if err != nil {
 		t.Fatal(err)
 	}
