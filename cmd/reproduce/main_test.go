@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -469,5 +472,79 @@ func TestRunFullCatalogContainment(t *testing.T) {
 	}
 	if !strings.Contains(s, "virtual-cycle budget of 1000 exceeded") {
 		t.Fatalf("missing the typed budget cause:\n%s", s)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata goldens from this run")
+
+// metricsLines renders a sidecar's counters and histograms one per line,
+// leaving out the provenance fields (toolchain, scheduler, parallelism).
+func metricsLines(rep runopts.MetricsReport) string {
+	var b strings.Builder
+	for _, c := range rep.Counters {
+		fmt.Fprintf(&b, "%s %d\n", c.Name, c.Value)
+	}
+	for _, h := range rep.Hists {
+		fmt.Fprintf(&b, "hist %s count=%d sum=%d buckets=%v\n", h.Name, h.Count, h.Sum, h.Buckets)
+	}
+	return b.String()
+}
+
+// metricsChildEnv, when set, makes TestRunMetricsGolden the probed run
+// itself, writing its sidecar to the named path.
+const metricsChildEnv = "REPRODUCE_METRICS_GOLDEN_OUT"
+
+// TestRunMetricsGolden pins the probed sidecar of E5, A4 and A5, which
+// between them touch every counter family (htm, tl2 with its gv lag
+// histogram, both elision sites, the adaptive coarsener, virtual-time
+// phases and the L1 plane), against testdata/metrics_E5_A4_A5.golden.
+// The run happens in a child process: sections abandoned by earlier tests
+// (TestRunTimeout, TestRunFullCatalogContainment) keep simulating in this
+// one, and machines they build once probes are armed would join the
+// sidecar. Regenerate with:
+//
+//	go test ./cmd/reproduce -run TestRunMetricsGolden -update
+func TestRunMetricsGolden(t *testing.T) {
+	if path := os.Getenv(metricsChildEnv); path != "" {
+		var out, errOut strings.Builder
+		o := options{Options: runopts.Options{Metrics: true, MetricsOut: path}, only: "E5,A4,A5", benchForce: true}
+		if code := run(o, &out, &errOut); code != 0 {
+			t.Fatalf("exit = %d; stderr: %s", code, errOut.String())
+		}
+		return
+	}
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	child := exec.Command(os.Args[0], "-test.run=^TestRunMetricsGolden$")
+	child.Env = append(os.Environ(), metricsChildEnv+"="+path)
+	if out, err := child.CombinedOutput(); err != nil {
+		t.Fatalf("probed run: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep runopts.MetricsReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	got := metricsLines(rep)
+	golden := filepath.Join("testdata", "metrics_E5_A4_A5.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("sidecar differs from %s at line %d:\n got %s\nwant %s", golden, i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("sidecar has %d lines, %s has %d", len(gl), golden, len(wl))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"tsxhpc/internal/memo/memotest"
 	"tsxhpc/internal/runner"
 	"tsxhpc/internal/runopts"
 )
@@ -118,12 +117,6 @@ func TestVerifySingleEngine(t *testing.T) {
 	if !strings.Contains(out, "4 seeds x fine:") {
 		t.Fatalf("summary missing engine list:\n%s", out)
 	}
-}
-
-// TestSeedOutcomeRoundTrip: seed outcomes, Counts map included, survive the
-// persistent store with every field set.
-func TestSeedOutcomeRoundTrip(t *testing.T) {
-	memotest.RoundTrip(t, seedOutcome{})
 }
 
 // TestVerifyRejectsUnhonouredFlags: verify builds its machines itself and

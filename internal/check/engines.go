@@ -292,7 +292,7 @@ func RunEngine(w *Workload, e Engine, o Opts) (*EngineResult, error) {
 			res.Fallbacks = sys.HTM.Stats.Fallback
 		case sys.STM != nil:
 			res.Starts = sys.STM.Stats.Starts
-			res.Aborts = sys.STM.Stats.Aborts
+			res.Aborts = sys.STM.Stats.TotalAborts()
 		}
 	}
 	return res, nil

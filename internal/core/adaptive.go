@@ -1,7 +1,6 @@
 package core
 
 import (
-	"tsxhpc/internal/probe"
 	"tsxhpc/internal/sim"
 	"tsxhpc/internal/tm"
 )
@@ -32,18 +31,19 @@ type AdaptiveCoarsener struct {
 	gran   [64]int // per-thread current granularity (threads never share)
 	streak [64]int // per-thread consecutive failed-speculation regions
 
-	// AIMD transition counters (nil when the machine carries no probe set):
-	// additive grows, multiplicative shrinks, and FailStreakFloor pins.
-	pcGrow, pcShrink, pcPin *probe.Counter
+	// AIMD transition counts: additive grows, multiplicative shrinks, and
+	// FailStreakFloor pins. With probes armed they are named under
+	// adaptive/ in the machine's probe set.
+	Grows, Shrinks, FloorPins uint64
 }
 
 // NewAdaptiveCoarsener creates a coarsener over the TSX system sys.
 func NewAdaptiveCoarsener(sys *tm.System) *AdaptiveCoarsener {
 	a := &AdaptiveCoarsener{Sys: sys, Min: 1, Max: 32}
 	if ps := sys.M.ProbeSet(); ps != nil {
-		a.pcGrow = ps.Counter("adaptive/grow")
-		a.pcShrink = ps.Counter("adaptive/shrink")
-		a.pcPin = ps.Counter("adaptive/floor-pin")
+		ps.Bind("adaptive/grow", &a.Grows)
+		ps.Bind("adaptive/shrink", &a.Shrinks)
+		ps.Bind("adaptive/floor-pin", &a.FloorPins)
 	}
 	return a
 }
@@ -89,16 +89,12 @@ func (a *AdaptiveCoarsener) Do(c *sim.Context, n int, item func(tx tm.Tx, i int)
 				if a.gran[id] < a.Min {
 					a.gran[id] = a.Min
 				}
-				if a.pcShrink != nil {
-					a.pcShrink.Inc()
-				}
+				a.Shrinks++
 			}
 			a.streak[id]++
 			if a.FailStreakFloor > 0 && a.streak[id] >= a.FailStreakFloor {
 				a.gran[id] = a.Min
-				if a.pcPin != nil {
-					a.pcPin.Inc()
-				}
+				a.FloorPins++
 			}
 		} else {
 			// A clean first-try commit ends any failure streak (and with it
@@ -106,9 +102,7 @@ func (a *AdaptiveCoarsener) Do(c *sim.Context, n int, item func(tx tm.Tx, i int)
 			a.streak[id] = 0
 			if gran < a.Max {
 				a.gran[id] = gran + 1
-				if a.pcGrow != nil {
-					a.pcGrow.Inc()
-				}
+				a.Grows++
 			}
 		}
 		start = end

@@ -51,6 +51,7 @@ func Elide(rt *htm.Runtime, c *sim.Context, mu *ssync.Mutex, maxRetries int, bod
 // body non-speculatively.
 func ElideSet(rt *htm.Runtime, c *sim.Context, locks []*ssync.Mutex, maxRetries int, body func(tm.Tx)) {
 	costs := c.Machine().Costs
+	attempts := rt.BindSite("lockset")
 	tries := uint64(0)
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		tries++
@@ -63,12 +64,7 @@ func ElideSet(rt *htm.Runtime, c *sim.Context, locks []*ssync.Mutex, maxRetries 
 			body(tm.HTMTx(t))
 		})
 		if cause == htm.NoAbort {
-			// Probe handles are resolved here, off the retry loop, rather than
-			// held in a struct: ElideSet is a free function with no per-site
-			// state to cache them in. ProbeSet is nil (one check) when off.
-			if ps := c.Machine().ProbeSet(); ps != nil {
-				ps.Hist("tsx/site/lockset/attempts").Observe(tries)
-			}
+			attempts.Observe(tries)
 			return
 		}
 		if noRetry {
@@ -99,10 +95,7 @@ func ElideSet(rt *htm.Runtime, c *sim.Context, locks []*ssync.Mutex, maxRetries 
 		}
 	}
 	rt.Stats.Fallback++
-	if ps := c.Machine().ProbeSet(); ps != nil {
-		ps.Hist("tsx/site/lockset/attempts").Observe(tries)
-		ps.Counter("tsx/site/lockset/fallbacks").Inc()
-	}
+	attempts.Observe(tries)
 	ordered := make([]*ssync.Mutex, len(locks))
 	copy(ordered, locks)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Addr < ordered[j].Addr })
@@ -126,9 +119,7 @@ func ElideSet(rt *htm.Runtime, c *sim.Context, locks []*ssync.Mutex, maxRetries 
 		uniq[i].Unlock(c)
 	}
 	c.SetPhase(prev)
-	if ps := c.Machine().ProbeSet(); ps != nil {
-		ps.Counter("tsx/site/lockset/fallback-cycles").Add(c.Now() - lockAt)
-	}
+	rt.Stats.FallbackCycles += c.Now() - lockAt
 	c.EmitSpan(f0, c.Now()-f0, "fallback", "lockset:fallback")
 }
 

@@ -71,8 +71,8 @@ func TestLockModeTL2String(t *testing.T) {
 }
 
 // TestAdaptiveCoarsenerProbeCounters: on a metrics-armed machine the
-// coarsener registers its AIMD transition counters and actually moves them
-// (grow on clean regions).
+// coarsener names its AIMD transition counts under adaptive/ and actually
+// moves them (grow on clean regions).
 func TestAdaptiveCoarsenerProbeCounters(t *testing.T) {
 	probe.ResetGlobal()
 	defer probe.ResetGlobal()
@@ -81,9 +81,6 @@ func TestAdaptiveCoarsenerProbeCounters(t *testing.T) {
 	m := sim.New(cfg)
 	sys := tm.NewSystem(m, tm.TSX)
 	a := NewAdaptiveCoarsener(sys)
-	if a.pcGrow == nil || a.pcShrink == nil || a.pcPin == nil {
-		t.Fatal("coarsener on a metrics machine did not register probe counters")
-	}
 	acc := m.Mem.AllocLine(8)
 	m.Run(1, func(c *sim.Context) {
 		a.Do(c, 64, func(tx tm.Tx, i int) {
@@ -93,7 +90,20 @@ func TestAdaptiveCoarsenerProbeCounters(t *testing.T) {
 	if m.Mem.ReadRaw(acc) != 64 {
 		t.Fatalf("coarsened loop computed %d, want 64", m.Mem.ReadRaw(acc))
 	}
-	if a.pcGrow.Value() == 0 {
+	if a.Grows == 0 {
 		t.Error("uncontended coarsened loop never recorded a granularity grow")
+	}
+	snap := m.ProbeSnapshot()
+	if got := snap.Counter("adaptive/grow"); got != a.Grows {
+		t.Errorf("adaptive/grow = %d, Grows = %d", got, a.Grows)
+	}
+	for _, name := range []string{"adaptive/grow", "adaptive/shrink", "adaptive/floor-pin"} {
+		found := false
+		for _, cv := range snap.Counters {
+			found = found || cv.Name == name
+		}
+		if !found {
+			t.Errorf("coarsener on a metrics machine did not name %s", name)
+		}
 	}
 }

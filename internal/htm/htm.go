@@ -90,12 +90,16 @@ func (c AbortCause) String() string {
 }
 
 // Stats aggregates transactional execution counters, the model's equivalent
-// of the Linux perf TSX event counts the paper collects for Table 1.
+// of the Linux perf TSX event counts the paper collects for Table 1, plus
+// the fallback-lock use of the elision wrapper the runtime serves. These
+// fields are the only copy of the counts: with probes armed, the machine's
+// probe set names them (see New and BindSite).
 type Stats struct {
-	Starts   uint64
-	Commits  uint64
-	Aborts   [NumCauses]uint64
-	Fallback uint64 // times the fallback lock was explicitly acquired
+	Starts         uint64
+	Commits        uint64
+	Aborts         [NumCauses]uint64
+	Fallback       uint64 // times the fallback lock was explicitly acquired
+	FallbackCycles uint64 // cycles the fallback lock was held (by tm.System and core.ElideSet)
 }
 
 // TotalAborts sums aborts over all causes.
@@ -172,20 +176,10 @@ type Runtime struct {
 	// order; the hook must not perform timed simulated work.
 	CommitHook func(c *sim.Context)
 
-	// pc holds the probe counter handles, resolved once at construction;
-	// nil when the machine carries no probe set (the default), making every
-	// instrumentation point a nil check.
-	pc *htmProbes
-}
-
-// htmProbes are the runtime's probe handles (see internal/probe): abort
-// counts by cause, plus start/commit totals, mirroring Stats into the
-// machine's probe set so the -metrics sidecar and the abort-anatomy
-// experiment can aggregate them across machines.
-type htmProbes struct {
-	starts  *probe.Counter
-	commits *probe.Counter
-	aborts  [NumCauses]*probe.Counter
+	// siteBound records that BindSite ran; attempts is the bound site's
+	// tries-per-region histogram, nil when the machine carries no probe set.
+	siteBound bool
+	attempts  *probe.Hist
 }
 
 // New creates the TSX runtime for m and installs its conflict, eviction and
@@ -224,16 +218,32 @@ func New(m *sim.Machine) *Runtime {
 		if model.Name() != "l1bloom" {
 			prefix = "htm/" + model.Name() + "/"
 		}
-		pc := &htmProbes{
-			starts:  ps.Counter(prefix + "starts"),
-			commits: ps.Counter(prefix + "commits"),
-		}
+		ps.Bind(prefix+"starts", &r.Stats.Starts)
+		ps.Bind(prefix+"commits", &r.Stats.Commits)
 		for cause := AbortCause(0); cause < NumCauses; cause++ {
-			pc.aborts[cause] = ps.Counter(prefix + "abort/" + cause.String())
+			ps.Bind(prefix+"abort/"+cause.String(), &r.Stats.Aborts[cause])
 		}
-		r.pc = pc
 	}
 	return r
+}
+
+// BindSite names the lock-elision site this runtime serves ("global" for
+// tm.System, "lockset" for core.ElideSet): with probes armed it binds
+// Stats.Fallback and Stats.FallbackCycles under tsx/site/<site>/ and
+// resolves the site's attempts histogram, which it returns (nil when probes
+// are off). A runtime serves one site: the first call binds, and later
+// calls return the same histogram.
+func (r *Runtime) BindSite(site string) *probe.Hist {
+	if !r.siteBound {
+		r.siteBound = true
+		if ps := r.m.ProbeSet(); ps != nil {
+			prefix := "tsx/site/" + site + "/"
+			r.attempts = ps.Hist(prefix + "attempts")
+			ps.Bind(prefix+"fallbacks", &r.Stats.Fallback)
+			ps.Bind(prefix+"fallback-cycles", &r.Stats.FallbackCycles)
+		}
+	}
+	return r.attempts
 }
 
 // ModelName reports the capacity model the runtime was constructed with.
@@ -341,9 +351,6 @@ func (r *Runtime) Begin(c *sim.Context) *Txn {
 	c.InTxn = true
 	c.TxnData = t
 	r.Stats.Starts++
-	if pc := r.pc; pc != nil {
-		pc.starts.Inc()
-	}
 	return t
 }
 
@@ -362,9 +369,6 @@ func (t *Txn) finishAbort() {
 	t.ctx.ReclassifyCycles(sim.PhaseTxn, sim.PhaseWasted, t.ctx.PhaseCycles(sim.PhaseTxn)-t.txnCyc0)
 	t.cleanup()
 	t.rt.Stats.Aborts[t.cause]++
-	if pc := t.rt.pc; pc != nil {
-		pc.aborts[t.cause].Inc()
-	}
 	panic(abortSignal{t.cause})
 }
 
@@ -449,9 +453,6 @@ func (t *Txn) Commit() {
 	}
 	t.cleanup()
 	t.rt.Stats.Commits++
-	if pc := t.rt.pc; pc != nil {
-		pc.commits.Inc()
-	}
 	t.ctx.Progress() // a commit is global forward progress (livelock watchdog)
 }
 

@@ -413,9 +413,9 @@ func TestSpuriousAbortHook(t *testing.T) {
 	}
 }
 
-// TestProbeCountersMirrorStats arms the probe layer and checks the
-// htm/starts, htm/commits, and htm/abort/<cause> counters track Stats
-// exactly — the per-machine registry the abort-anatomy report is built on.
+// TestProbeCountersMirrorStats arms the probe layer and checks that the
+// htm/starts, htm/commits and htm/abort/<cause> names read the Stats fields,
+// the counts the abort-anatomy report is built on.
 func TestProbeCountersMirrorStats(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Metrics = true
@@ -440,7 +440,7 @@ func TestProbeCountersMirrorStats(t *testing.T) {
 	if got := snap.Counter("htm/abort/explicit"); got != 1 {
 		t.Errorf("htm/abort/explicit = %d, want 1", got)
 	}
-	// Every cause has a registered (possibly zero) counter, so reports are
+	// Every cause has a bound (possibly zero) counter, so reports are
 	// structurally identical across cells.
 	for cause := AbortCause(0); cause < NumCauses; cause++ {
 		found := false

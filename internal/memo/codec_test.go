@@ -83,7 +83,8 @@ func TestEmptyDecodesNil(t *testing.T) {
 // TestSnapshotRoundTrip: probe snapshots ride inside memoized cell results.
 func TestSnapshotRoundTrip(t *testing.T) {
 	set := probe.NewSet()
-	set.Counter("x").Add(7)
+	x := uint64(7)
+	set.Bind("x", &x)
 	set.Hist("h").Observe(9)
 	snap := set.Snapshot()
 	s := openStore(t, t.TempDir())

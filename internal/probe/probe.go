@@ -1,22 +1,27 @@
 // Package probe is the deterministic observability layer under every engine
-// in this repository: a counter/histogram registry (per-machine Sets merged
-// into process-wide snapshots), plus a bounded structured-event trace with
-// Chrome trace-event JSON export (trace.go).
+// in this repository: a name index over the engines' own counters and a
+// histogram registry (per-machine Sets merged into process-wide snapshots),
+// plus a bounded structured-event trace with Chrome trace-event JSON export
+// (trace.go).
 //
 // Two rules make the layer safe to wire into the simulator's hot paths:
 //
-//   - Zero overhead when disabled. Engines resolve *Counter/*Hist handles at
-//     construction time (a map lookup each, off the hot path) and hold nil
-//     when the machine carries no probe set; the hot-path operations are a
-//     nil check plus a field increment, allocate nothing, draw no random
-//     numbers, and charge no simulated cycles — so arming or disarming the
+//   - One counter system. Engines count every event exactly once, in plain
+//     uint64 fields of their always-on Stats; a Set does not own counters,
+//     it binds names to those fields (Bind, once at engine construction)
+//     and reads them at snapshot time. Histograms have no always-on twin, so
+//     the Set owns them; engines resolve *Hist handles at construction and
+//     hold nil when the machine carries no probe set (Observe on nil is a
+//     no-op). Hot paths therefore pay a field increment or an Observe
+//     (one nil check when disarmed), allocate nothing, draw no random
+//     numbers, and charge no simulated cycles, so arming or disarming the
 //     probes cannot change a run's schedule or output.
 //   - Determinism at any host parallelism. A Set belongs to one machine and
-//     is only mutated by that machine's serialized simulated threads, so its
-//     contents are a pure function of the cell. Snapshots order entries by
-//     name, and Merge is commutative addition over names, so a merged report
-//     is byte-identical no matter how many host workers raced to produce the
-//     per-machine parts.
+//     its fields are only mutated by that machine's serialized simulated
+//     threads, so its contents are a pure function of the cell. Snapshots
+//     order entries by name, and Merge is commutative addition over names,
+//     so a merged report is byte-identical no matter how many host workers
+//     raced to produce the per-machine parts.
 //
 // See DESIGN.md §14 for the architecture and the determinism rules.
 package probe
@@ -26,22 +31,6 @@ import (
 	"sort"
 	"sync"
 )
-
-// Counter is a monotonically increasing event count. Increments are plain
-// adds: a counter is owned by one simulated machine, whose threads are
-// serialized by construction.
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
 
 // histBuckets is the number of power-of-two histogram buckets: bucket i
 // counts observations whose bit length is i (bucket 0 holds zeros), with the
@@ -57,8 +46,12 @@ type Hist struct {
 	Sum     uint64
 }
 
-// Observe records one value.
+// Observe records one value. A nil histogram (the handle an engine holds
+// when probes are disarmed) ignores it.
 func (h *Hist) Observe(v uint64) {
+	if h == nil {
+		return
+	}
 	b := bits.Len64(v)
 	if b >= histBuckets {
 		b = histBuckets - 1
@@ -68,43 +61,41 @@ func (h *Hist) Observe(v uint64) {
 	h.Sum += v
 }
 
-// Mean returns the exact arithmetic mean of the observations (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// Set is one machine's named counters and histograms. Handle resolution
-// (Counter/Hist) is idempotent and cheap but not hot-path; engines resolve
-// once at construction and increment through the returned pointers.
+// Set is one machine's named counters and histograms. A counter is a
+// uint64 field owned by an engine and bound here by address; a histogram is
+// owned by the set. Bind and Hist are idempotent and cheap but not
+// hot-path: engines call them once at construction.
 type Set struct {
-	counters map[string]*Counter
+	counters map[string][]*uint64
 	hists    map[string]*Hist
 }
 
 // NewSet creates an empty probe set.
 func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter), hists: make(map[string]*Hist)}
+	return &Set{counters: make(map[string][]*uint64), hists: make(map[string]*Hist)}
 }
 
-// Counter resolves (creating on first use) the counter named name.
-func (s *Set) Counter(name string) *Counter {
-	if c, ok := s.counters[name]; ok {
-		return c
+// Bind names the engine-owned counter *v. The contract for a repeated name
+// is one entry: binding the same field again is a no-op, and binding another
+// field under the name makes the entry report the sum of its fields (two
+// engines of one kind on one machine count into one name).
+func (s *Set) Bind(name string, v *uint64) {
+	for _, p := range s.counters[name] {
+		if p == v {
+			return
+		}
 	}
-	c := &Counter{}
-	s.counters[name] = c
-	return c
+	s.counters[name] = append(s.counters[name], v)
 }
 
-// Reset zeroes every counter and histogram while keeping the resolved
-// handles valid — the probe equivalent of the engines' Stats.Reset, used to
-// discard workload-setup noise before the measured region.
+// Reset zeroes every bound field and histogram, keeping the bindings and
+// the resolved histogram handles valid; used to discard workload-setup
+// noise before the measured region.
 func (s *Set) Reset() {
-	for _, c := range s.counters {
-		c.v = 0
+	for _, fields := range s.counters {
+		for _, p := range fields {
+			*p = 0
+		}
 	}
 	for _, h := range s.hists {
 		*h = Hist{}
@@ -153,14 +144,18 @@ type Snapshot struct {
 	Hists    []HistVal
 }
 
-// Snapshot captures the set's current contents, sorted by name. Resolved
-// but never-incremented entries are included: which names exist depends only
-// on which engines were constructed, so the zero rows keep reports
-// structurally identical across cells of the same shape.
+// Snapshot captures the set's current contents, sorted by name. Bound or
+// resolved but never-incremented entries are included: which names exist
+// depends only on which engines were constructed, so the zero rows keep
+// reports structurally identical across cells of the same shape.
 func (s *Set) Snapshot() Snapshot {
 	var snap Snapshot
-	for name, c := range s.counters {
-		snap.Counters = append(snap.Counters, CounterVal{name, c.v})
+	for name, fields := range s.counters {
+		var v uint64
+		for _, p := range fields {
+			v += *p
+		}
+		snap.Counters = append(snap.Counters, CounterVal{name, v})
 	}
 	for name, h := range s.hists {
 		buckets := make([]uint64, histBuckets)

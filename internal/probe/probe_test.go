@@ -10,14 +10,11 @@ import (
 
 func TestCounterAndHist(t *testing.T) {
 	s := NewSet()
-	c := s.Counter("a")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
+	var c uint64
+	s.Bind("a", &c)
+	c += 5
+	if got := s.Snapshot().Counter("a"); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
-	}
-	if s.Counter("a") != c {
-		t.Fatal("Counter not idempotent")
 	}
 	h := s.Hist("h")
 	for _, v := range []uint64{0, 1, 2, 3, 100, 1 << 40} {
@@ -38,12 +35,51 @@ func TestCounterAndHist(t *testing.T) {
 	if s.Hist("h") != h {
 		t.Fatal("Hist not idempotent")
 	}
+	var disarmed *Hist
+	disarmed.Observe(1) // the disarmed handle is nil and must ignore observations
+}
+
+// TestBindDuplicate pins the contract for a repeated name: one entry.
+// Binding the same field twice counts it once; binding a second field under
+// the name reports the sum. Reset zeroes the bound fields themselves and
+// leaves the bindings and histogram handles live.
+func TestBindDuplicate(t *testing.T) {
+	s := NewSet()
+	var a, b uint64
+	s.Bind("n", &a)
+	s.Bind("n", &a)
+	a = 3
+	if got := s.Snapshot(); len(got.Counters) != 1 || got.Counter("n") != 3 {
+		t.Fatalf("same field bound twice: %+v, want one entry of 3", got.Counters)
+	}
+	s.Bind("n", &b)
+	b = 4
+	if got := s.Snapshot(); len(got.Counters) != 1 || got.Counter("n") != 7 {
+		t.Fatalf("two fields under one name: %+v, want one entry of 7", got.Counters)
+	}
+	h := s.Hist("h")
+	h.Observe(5)
+	s.Reset()
+	if a != 0 || b != 0 || h.Count != 0 {
+		t.Fatalf("Reset left a=%d b=%d hist count=%d", a, b, h.Count)
+	}
+	a++
+	h.Observe(1)
+	snap := s.Snapshot()
+	if snap.Counter("n") != 1 {
+		t.Fatalf("binding dead after Reset: n = %d, want 1", snap.Counter("n"))
+	}
+	if hv, _ := snap.Hist("h"); hv.Count != 1 {
+		t.Fatalf("hist handle dead after Reset: count = %d, want 1", hv.Count)
+	}
 }
 
 func TestSnapshotSortedAndKeepsZeros(t *testing.T) {
 	s := NewSet()
-	s.Counter("z")
-	s.Counter("a").Inc()
+	var z, a uint64
+	s.Bind("z", &z)
+	s.Bind("a", &a)
+	a++
 	s.Hist("m")
 	snap := s.Snapshot()
 	if len(snap.Counters) != 2 || snap.Counters[0].Name != "a" || snap.Counters[1].Name != "z" {
@@ -66,8 +102,9 @@ func TestSnapshotSortedAndKeepsZeros(t *testing.T) {
 func TestMergeOrderIndependent(t *testing.T) {
 	mk := func(n string, v uint64, hv uint64) Snapshot {
 		s := NewSet()
-		s.Counter(n).Add(v)
-		s.Counter("shared").Add(v * 2)
+		own, shared := v, v*2
+		s.Bind(n, &own)
+		s.Bind("shared", &shared)
 		s.Hist("lat").Observe(hv)
 		return s.Snapshot()
 	}
@@ -92,15 +129,12 @@ func TestMergeOrderIndependent(t *testing.T) {
 
 // The hot-path operations must not allocate: they run inside the
 // simulator's per-event paths and an allocation there would both cost time
-// and perturb GC timing.
+// and perturb GC timing. (Counters are plain engine fields; only histograms
+// and the trace have probe-side hot paths.)
 func TestHotPathsZeroAlloc(t *testing.T) {
 	s := NewSet()
-	c := s.Counter("c")
 	h := s.Hist("h")
 	tr := newTrace("m", 1, 64)
-	if n := testing.AllocsPerRun(100, func() { c.Inc(); c.Add(3) }); n != 0 {
-		t.Fatalf("Counter ops allocate: %v allocs/op", n)
-	}
 	if n := testing.AllocsPerRun(100, func() { h.Observe(1234) }); n != 0 {
 		t.Fatalf("Hist.Observe allocates: %v allocs/op", n)
 	}
@@ -183,10 +217,11 @@ func TestWriteChromeTraceSchema(t *testing.T) {
 func TestGlobalSnapshotMergesSources(t *testing.T) {
 	ResetGlobal()
 	defer ResetGlobal()
+	ca, cb := uint64(3), uint64(4)
 	a := NewSet()
-	a.Counter("htm/commits").Add(3)
+	a.Bind("htm/commits", &ca)
 	b := NewSet()
-	b.Counter("htm/commits").Add(4)
+	b.Bind("htm/commits", &cb)
 	AttachSource(a.Snapshot)
 	AttachSource(b.Snapshot)
 	if got := GlobalSnapshot().Counter("htm/commits"); got != 7 {

@@ -2,9 +2,10 @@ package sim
 
 // Probe integration: the simulator owns the virtual-time phase profiler
 // (every charged cycle is attributed to the charging thread's current phase)
-// and hands engines a per-machine probe.Set / trace ring. Everything here is
-// nil-guarded no-ops when the machine was built without Metrics/TraceEvents,
-// so the probes-off hot path pays exactly one pointer test in charge.
+// and hands engines a per-machine probe.Set, to which they bind their Stats
+// fields, and a trace ring. Everything here is nil-guarded no-ops when the
+// machine was built without Metrics/TraceEvents, so the probes-off hot path
+// pays exactly one pointer test in charge.
 
 import (
 	"fmt"
@@ -85,8 +86,8 @@ func (m *Machine) armProbes() {
 }
 
 // ProbeSet returns the machine's probe set, or nil when probes are off.
-// Engines resolve counter/histogram handles from it at construction time and
-// hold nil handles when it is nil.
+// Engines bind their Stats fields and resolve histogram handles from it at
+// construction time, and hold nil histogram handles when it is nil.
 func (m *Machine) ProbeSet() *probe.Set {
 	if m.probes == nil {
 		return nil
@@ -161,11 +162,12 @@ func (c *Context) EmitSpan(ts, dur uint64, cat, name string) {
 	pr.trace.Emit(c.id, ts, dur, cat, name)
 }
 
-// ResetProbes zeroes the machine's probe counters and virtual-time planes
-// (keeping resolved handles valid), so measurement can start after workload
-// setup — the probe-layer counterpart of the engines' Stats.Reset. The L1
-// counters are cumulative per cache and are not reset. No-op when probes
-// are off.
+// ResetProbes zeroes the machine's histograms, every engine Stats field
+// bound in its probe set, and the virtual-time planes (bindings and handles
+// stay valid), so measurement can start after workload setup. The bound
+// fields are the engines' own counts, so this also clears what their
+// Stats.Reset would; the L1 counters are cumulative per cache and are not
+// reset. No-op when probes are off.
 func (m *Machine) ResetProbes() {
 	if pr := m.probes; pr != nil {
 		pr.set.Reset()

@@ -82,19 +82,20 @@ func TestResetProbesExcludesSetupNoise(t *testing.T) {
 	cfg := benchConfig(1, 1)
 	cfg.Metrics = true
 	m := New(cfg)
-	ctr := m.ProbeSet().Counter("test/marks")
+	var marks uint64
+	m.ProbeSet().Bind("test/marks", &marks)
 	m.Run(1, func(c *Context) {
 		prev := c.SetPhase(PhaseTxn)
 		c.Compute(1000) // "setup": discarded below
 		c.SetPhase(prev)
-		ctr.Inc()
+		marks++
 	})
 	m.ResetProbes()
 	m.Run(1, func(c *Context) {
 		prev := c.SetPhase(PhaseTxn)
 		c.Compute(7)
 		c.SetPhase(prev)
-		ctr.Inc()
+		marks++
 	})
 	snap := m.ProbeSnapshot()
 	if got := snap.Counter("vt/sim/txn"); got != 7 {

@@ -23,19 +23,29 @@ type orec struct {
 	owner   int // thread id + 1 when locked; 0 when free
 }
 
-// Stats counts transactional executions for the tl2 columns of Table 1.
+// Stats counts transactional executions for the tl2 columns of Table 1,
+// aborts by the validation step that failed, and global-clock pressure.
+// These fields are the only copy of the counts: with probes armed, the
+// machine's probe set names them under tl2/ (see New).
 type Stats struct {
-	Starts  uint64
-	Commits uint64
-	Aborts  uint64
+	Starts        uint64
+	Commits       uint64
+	AbortRead     uint64 // Load pre/post validation failed
+	AbortLock     uint64 // commit-time orec acquisition found lock held/advanced
+	AbortValidate uint64 // commit-time read-set validation failed
+	GVAdvances    uint64 // global version clock advances (writer commits)
 }
+
+// TotalAborts sums aborts over all causes.
+func (s *Stats) TotalAborts() uint64 { return s.AbortRead + s.AbortLock + s.AbortValidate }
 
 // AbortRate returns aborts as a percentage of all transactional executions.
 func (s *Stats) AbortRate() float64 {
-	if s.Aborts+s.Commits == 0 {
+	t := s.TotalAborts()
+	if t+s.Commits == 0 {
 		return 0
 	}
-	return 100 * float64(s.Aborts) / float64(s.Aborts+s.Commits)
+	return 100 * float64(t) / float64(t+s.Commits)
 }
 
 // Reset zeroes the counters.
@@ -74,36 +84,24 @@ type TL2 struct {
 	// not perform timed simulated work.
 	SerializeHook func(c *sim.Context, wv uint64)
 
-	// pc holds the probe counter handles (nil when the machine carries no
-	// probe set): validation-failure counts by site and the global-clock
-	// pressure metrics the abort-anatomy experiment reports.
-	pc *tl2Probes
+	// gvLag is the histogram of how far the global version clock moved
+	// between a writer's snapshot and its commit; nil when the machine
+	// carries no probe set.
+	gvLag *probe.Hist
 }
 
-// tl2Probes are the TL2 instance's probe handles, resolved once in New.
-type tl2Probes struct {
-	starts        *probe.Counter
-	commits       *probe.Counter
-	abortRead     *probe.Counter // Load pre/post validation failed
-	abortLock     *probe.Counter // commit-time orec acquisition found lock held/advanced
-	abortValidate *probe.Counter // commit-time read-set validation failed
-	gvAdv         *probe.Counter // global version clock advances (writer commits)
-	gvLag         *probe.Hist    // gv distance traveled between snapshot and commit
-}
-
-// New creates a TL2 instance for machine m.
+// New creates a TL2 instance for machine m. With probes armed it names the
+// Stats fields in the machine's probe set and resolves the gv-lag histogram.
 func New(m *sim.Machine) *TL2 {
 	s := &TL2{m: m, orecs: make([]orec, orecCount), pool: make([]*Txn, 64)}
 	if ps := m.ProbeSet(); ps != nil {
-		s.pc = &tl2Probes{
-			starts:        ps.Counter("tl2/starts"),
-			commits:       ps.Counter("tl2/commits"),
-			abortRead:     ps.Counter("tl2/abort/read-validate"),
-			abortLock:     ps.Counter("tl2/abort/lock-busy"),
-			abortValidate: ps.Counter("tl2/abort/commit-validate"),
-			gvAdv:         ps.Counter("tl2/gv/advances"),
-			gvLag:         ps.Hist("tl2/gv/lag"),
-		}
+		ps.Bind("tl2/starts", &s.Stats.Starts)
+		ps.Bind("tl2/commits", &s.Stats.Commits)
+		ps.Bind("tl2/abort/read-validate", &s.Stats.AbortRead)
+		ps.Bind("tl2/abort/lock-busy", &s.Stats.AbortLock)
+		ps.Bind("tl2/abort/commit-validate", &s.Stats.AbortValidate)
+		ps.Bind("tl2/gv/advances", &s.Stats.GVAdvances)
+		s.gvLag = ps.Hist("tl2/gv/lag")
 	}
 	return s
 }
@@ -153,16 +151,12 @@ func (t *Txn) Load(a sim.Addr) uint64 {
 	oi := orecIdx(a)
 	o := &t.s.orecs[oi]
 	if o.owner != 0 || o.version > t.rv {
-		if p := t.s.pc; p != nil {
-			p.abortRead.Inc()
-		}
+		t.s.Stats.AbortRead++
 		t.abort()
 	}
 	v := t.ctx.Load(a)
 	if o.owner != 0 || o.version > t.rv {
-		if p := t.s.pc; p != nil {
-			p.abortRead.Inc()
-		}
+		t.s.Stats.AbortRead++
 		t.abort()
 	}
 	t.readSet = append(t.readSet, oi)
@@ -179,7 +173,6 @@ func (t *Txn) Store(a sim.Addr, v uint64) {
 
 func (t *Txn) abort() {
 	t.ctx.Compute(t.s.m.Costs.TL2AbortCost)
-	t.s.Stats.Aborts++
 	panic(tl2Abort{})
 }
 
@@ -196,9 +189,6 @@ func (t *Txn) commit() {
 		}
 		t.commitFrees()
 		t.s.Stats.Commits++
-		if p := t.s.pc; p != nil {
-			p.commits.Inc()
-		}
 		return
 	}
 	// Lock write-set orecs in a canonical order to avoid deadlock; abort if
@@ -226,9 +216,7 @@ func (t *Txn) commit() {
 			for _, li := range locks[:acquired] {
 				t.s.orecs[li].owner = 0
 			}
-			if p := t.s.pc; p != nil {
-				p.abortLock.Inc()
-			}
+			t.s.Stats.AbortLock++
 			t.abort()
 		}
 		o.owner = id
@@ -238,10 +226,8 @@ func (t *Txn) commit() {
 	c.Compute(costs.Atomic)
 	t.s.gv++
 	wv := t.s.gv
-	if p := t.s.pc; p != nil {
-		p.gvAdv.Inc()
-		p.gvLag.Observe(wv - 1 - t.rv) // how far gv moved since our snapshot
-	}
+	t.s.Stats.GVAdvances++
+	t.s.gvLag.Observe(wv - 1 - t.rv) // how far gv moved since our snapshot
 	if h := t.s.SerializeHook; h != nil {
 		h(c, wv)
 	}
@@ -255,9 +241,7 @@ func (t *Txn) commit() {
 					t.s.orecs[li].owner = 0
 				}
 			}
-			if p := t.s.pc; p != nil {
-				p.abortValidate.Inc()
-			}
+			t.s.Stats.AbortValidate++
 			t.abort()
 		}
 	}
@@ -279,9 +263,6 @@ func (t *Txn) commit() {
 	}
 	t.commitFrees()
 	t.s.Stats.Commits++
-	if p := t.s.pc; p != nil {
-		p.commits.Inc()
-	}
 	c.Progress()
 }
 
@@ -329,9 +310,6 @@ func (s *TL2) try(c *sim.Context, body func(*Txn)) (committed bool) {
 	t0 := c.Now()
 	c.Compute(s.m.Costs.TL2Start)
 	s.Stats.Starts++
-	if p := s.pc; p != nil {
-		p.starts.Inc()
-	}
 	// Attempts restart on abort, so the per-thread Txn and its write-set map
 	// are recycled rather than reallocated; a thread runs at most one
 	// transaction at a time.

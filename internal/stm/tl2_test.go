@@ -58,7 +58,7 @@ func TestConcurrentCounter(t *testing.T) {
 	if got := m.Mem.ReadRaw(a); got != 8*perThread {
 		t.Fatalf("counter = %d, want %d", got, 8*perThread)
 	}
-	if s.Stats.Aborts == 0 {
+	if s.Stats.TotalAborts() == 0 {
 		t.Fatal("expected aborts under contention")
 	}
 }
@@ -80,8 +80,8 @@ func TestDisjointWritesDoNotAbort(t *testing.T) {
 			t.Fatalf("thread %d counter = %d", i, got)
 		}
 	}
-	if s.Stats.Aborts != 0 {
-		t.Fatalf("disjoint transactions aborted %d times", s.Stats.Aborts)
+	if s.Stats.TotalAborts() != 0 {
+		t.Fatalf("disjoint transactions aborted %d times", s.Stats.TotalAborts())
 	}
 }
 
@@ -136,12 +136,12 @@ func TestAbortRateMetric(t *testing.T) {
 	if s.AbortRate() != 0 {
 		t.Fatal("empty stats should be 0")
 	}
-	s.Commits, s.Aborts = 1, 1
+	s.Commits, s.AbortRead, s.AbortValidate = 2, 1, 1
 	if s.AbortRate() != 50 {
 		t.Fatalf("AbortRate = %v", s.AbortRate())
 	}
 	s.Reset()
-	if s.Commits != 0 || s.Aborts != 0 {
+	if s.Commits != 0 || s.TotalAborts() != 0 {
 		t.Fatal("Reset did not zero")
 	}
 }
@@ -177,9 +177,10 @@ func TestWriteSkewPreventedBySerializability(t *testing.T) {
 }
 
 // TestProbeCountersMirrorStats arms the probe layer on a contended TL2 run
-// and checks the tl2/* counters against Stats: starts, commits, the
-// validation-failure breakdown summing to the abort total, global-version
-// advances matching write commits, and commit/abort spans on the trace ring.
+// and checks that the tl2/* names read the Stats fields: starts, commits,
+// the validation-failure breakdown summing to the abort total with every
+// attempt ending in one outcome, global-version advances matching write
+// commits, and commit/abort spans on the trace ring.
 func TestProbeCountersMirrorStats(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Metrics = true
@@ -206,10 +207,14 @@ func TestProbeCountersMirrorStats(t *testing.T) {
 	abortSum := snap.Counter("tl2/abort/read-validate") +
 		snap.Counter("tl2/abort/lock-busy") +
 		snap.Counter("tl2/abort/commit-validate")
-	if abortSum != s.Stats.Aborts {
-		t.Errorf("abort-cause sum = %d, Stats.Aborts = %d", abortSum, s.Stats.Aborts)
+	if abortSum != s.Stats.TotalAborts() {
+		t.Errorf("abort-cause sum = %d, Stats.TotalAborts = %d", abortSum, s.Stats.TotalAborts())
 	}
-	if s.Stats.Aborts == 0 {
+	// Every attempt ends in exactly one outcome.
+	if s.Stats.Starts != s.Stats.Commits+s.Stats.TotalAborts() {
+		t.Errorf("starts = %d, commits + aborts = %d", s.Stats.Starts, s.Stats.Commits+s.Stats.TotalAborts())
+	}
+	if s.Stats.TotalAborts() == 0 {
 		t.Error("contended run produced no aborts; the breakdown is untested")
 	}
 	// Every committed transaction here writes, so each advances the gv.
@@ -229,8 +234,8 @@ func TestProbeCountersMirrorStats(t *testing.T) {
 			aborts++
 		}
 	}
-	if uint64(commits) != s.Stats.Commits || uint64(aborts) != s.Stats.Aborts {
-		t.Errorf("spans: %d commits, %d aborts; stats: %d, %d", commits, aborts, s.Stats.Commits, s.Stats.Aborts)
+	if uint64(commits) != s.Stats.Commits || uint64(aborts) != s.Stats.TotalAborts() {
+		t.Errorf("spans: %d commits, %d aborts; stats: %d, %d", commits, aborts, s.Stats.Commits, s.Stats.TotalAborts())
 	}
 }
 

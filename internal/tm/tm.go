@@ -99,19 +99,11 @@ type System struct {
 	// instant regardless of mode.
 	commitHook func(*sim.Context)
 
-	// pc holds the elision-policy probe handles (nil when the machine
-	// carries no probe set): retry depth per region, fallback acquisitions,
-	// and fallback-lock occupancy for the single global lock site.
-	pc *siteProbes
-}
-
-// siteProbes are the per-lock-site elision statistics; the global lock is
-// the one site package tm manages (internal/core keeps the analogous
-// counters for lock-set elision under "tsx/site/lockset/").
-type siteProbes struct {
-	attempts *probe.Hist    // transactional tries per region (1 = first-try commit)
-	fallback *probe.Counter // explicit fallback-lock acquisitions
-	fbCycles *probe.Counter // cycles the fallback lock was held (occupancy)
+	// attempts is the global lock site's histogram of transactional tries
+	// per region (1 = first-try commit); nil unless TSX mode with probes
+	// armed. The site's fallback counts are HTM.Stats.Fallback and
+	// FallbackCycles, named under tsx/site/global/ by htm.Runtime.BindSite.
+	attempts *probe.Hist
 }
 
 // tsxSpanNames maps each attempt outcome to its precomputed trace-span name
@@ -138,17 +130,11 @@ func NewSystem(m *sim.Machine, mode Mode) *System {
 	switch mode {
 	case TSX:
 		s.HTM = htm.New(m)
+		s.attempts = s.HTM.BindSite("global")
 	case TL2:
 		s.STM = stm.New(m)
 	}
 	m.SetProbeEngine(mode.String())
-	if ps := m.ProbeSet(); ps != nil && mode == TSX {
-		s.pc = &siteProbes{
-			attempts: ps.Hist("tsx/site/global/attempts"),
-			fallback: ps.Counter("tsx/site/global/fallbacks"),
-			fbCycles: ps.Counter("tsx/site/global/fallback-cycles"),
-		}
-	}
 	return s
 }
 
@@ -278,9 +264,7 @@ func (s *System) elide(c *sim.Context, body func(Tx)) {
 		})
 		c.EmitSpan(t0, c.Now()-t0, "txn", tsxSpanNames[cause])
 		if cause == htm.NoAbort {
-			if p := s.pc; p != nil {
-				p.attempts.Observe(tries)
-			}
+			s.attempts.Observe(tries)
 			return
 		}
 		if noRetry {
@@ -319,10 +303,7 @@ func (s *System) elide(c *sim.Context, body func(Tx)) {
 	// Fallback: explicitly acquire the lock. The store to the lock word
 	// aborts every transaction currently eliding it, ensuring correctness.
 	s.HTM.Stats.Fallback++
-	if p := s.pc; p != nil {
-		p.attempts.Observe(tries)
-		p.fallback.Inc()
-	}
+	s.attempts.Observe(tries)
 	f0 := c.Now()
 	s.GLock.Lock(c)
 	lockAt := c.Now()
@@ -335,9 +316,7 @@ func (s *System) elide(c *sim.Context, body func(Tx)) {
 	}
 	s.GLock.Unlock(c)
 	c.SetPhase(prev)
-	if p := s.pc; p != nil {
-		p.fbCycles.Add(c.Now() - lockAt)
-	}
+	s.HTM.Stats.FallbackCycles += c.Now() - lockAt
 	c.EmitSpan(f0, c.Now()-f0, "fallback", "tsx:fallback")
 }
 

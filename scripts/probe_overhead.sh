@@ -11,11 +11,14 @@
 # The gate bounds the *armed* path to within MAX_PCT percent of the disarmed
 # one (default 30 — the attribution increment costs ~15% of a 5 ns op on the
 # reference host; a blowout here means someone put allocation, hashing, or
-# locking on the charge path). The disarmed path's own overhead (the ≤1%
-# acceptance bound vs the pre-probe simulator) cannot be measured inside one
-# build; it is enforced end-to-end by scripts/bench_ratchet.sh, whose
-# committed events/s record predates the probe layer and ratchets only
-# upward. Per-run minima over COUNT repetitions de-noise shared runners.
+# locking on the charge path). The disarmed path's own overhead cannot be
+# measured inside one build, and this script does not bound it: event
+# counters are plain engine fields incremented armed or not, so the probe
+# layer adds only the nil tests measured here. scripts/bench_ratchet.sh
+# does not bound it either (its events/s floor sits far below today's
+# engine); end-to-end cost is judged by the repository benchmark's paired
+# runs (perfbench/run.sh). Per-run minima over COUNT repetitions de-noise
+# shared runners.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
